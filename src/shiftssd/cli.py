@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
 import subprocess
 import sys
 import time
+import types
+import typing
 from pathlib import Path
 
 from . import data as DT
@@ -41,140 +44,89 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# config serialization (JSON mirrors the dataclass field names)
+# config serialization (JSON keys are exactly the dataclass field names)
 
 
-def scale_to_dict(s: S.ScaleConfig) -> dict:
-    return {"radius": s.radius, "k": s.k, "mlp": list(s.mlp)}
+def config_to_dict(obj) -> dict:
+    """JSON-ready dict of a config dataclass, nested ones included; tuples become lists."""
+
+    def plain(value):
+        if dataclasses.is_dataclass(value):
+            return config_to_dict(value)
+        if isinstance(value, (list, tuple)):
+            return [plain(v) for v in value]
+        return value
+
+    return {f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
 
 
-def scale_from_dict(d: dict) -> S.ScaleConfig:
-    return S.ScaleConfig(radius=d["radius"], k=d["k"], mlp=list(d["mlp"]))
+def config_from_dict(cls, d, path: str | None = None):
+    """Inverse of config_to_dict; also decodes the field types nested in it.
+    A missing key takes the field default. An unknown key, a wrong type or a
+    value the dataclass rejects raises ValueError naming its dotted path,
+    which starts at `path` (default: the class name)."""
+    path = path or cls.__name__
+    if dataclasses.is_dataclass(cls):
+        if not isinstance(d, dict):
+            raise ValueError(f"{path}: expected an object, got {type(d).__name__}")
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        unknown = sorted(set(d) - set(fields))
+        if unknown:
+            raise ValueError(f"{path}.{unknown[0]}: unknown key")
+        hints = typing.get_type_hints(cls)
+        kwargs = {}
+        for name, f in fields.items():
+            if name in d:
+                kwargs[name] = config_from_dict(hints[name], d[name], f"{path}.{name}")
+            elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ValueError(f"{path}.{name}: missing key")
+        try:
+            return cls(**kwargs)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from err
+    origin, args = typing.get_origin(cls), typing.get_args(cls)
+    if origin in (typing.Union, types.UnionType):
+        if d is None and type(None) in args:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return config_from_dict(inner, d, path)
+    if origin in (list, tuple):
+        if not isinstance(d, (list, tuple)):
+            raise ValueError(f"{path}: expected a list, got {type(d).__name__}")
+        if origin is list or args[-1] is Ellipsis:
+            args = [args[0]] * len(d)
+        elif len(d) != len(args):
+            raise ValueError(f"{path}: expected {len(args)} items, got {len(d)}")
+        items = [config_from_dict(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, d))]
+        return items if origin is list else tuple(items)
+    if cls is float and type(d) in (int, float):
+        return float(d)
+    if cls in (int, str) and type(d) is cls:
+        return d
+    raise ValueError(f"{path}: expected {cls.__name__}, got {type(d).__name__}")
 
 
-def ssa_to_dict(c: S.SsaConfig) -> dict:
-    return {
-        "scales": [scale_to_dict(s) for s in c.scales],
-        "shift_ratio": c.shift_ratio,
-        "r_prime": c.r_prime,
-        "candidate_k": c.candidate_k,
-        "aggregation": list(c.aggregation),
-        "exchange_op": c.exchange_op,
-        "selection": c.selection,
-    }
-
-
-def ssa_from_dict(d: dict) -> S.SsaConfig:
-    return S.SsaConfig(
-        scales=[scale_from_dict(s) for s in d["scales"]],
-        shift_ratio=d.get("shift_ratio", 1.0 / 8.0),
-        r_prime=d.get("r_prime"),
-        candidate_k=d.get("candidate_k"),
-        aggregation=list(d.get("aggregation", [])),
-        exchange_op=d.get("exchange_op", "cs"),
-        selection=d.get("selection", "farthest"),
-    )
-
-
-def model_to_dict(c: D.ModelConfig) -> dict:
-    return {
-        "stage_points": list(c.stage_points),
-        "stage_ssa": [ssa_to_dict(s) for s in c.stage_ssa],
-        "num_classes": c.num_classes,
-        "anchors": [list(a) for a in c.anchors],
-        "in_channels": c.in_channels,
-        "vote_hidden": list(c.vote_hidden),
-        "agg_radius": c.agg_radius,
-        "agg_k": c.agg_k,
-        "agg_f": list(c.agg_f),
-        "agg_a": list(c.agg_a),
-        "head_hidden": list(c.head_hidden),
-        "angle_bins": c.angle_bins,
-        "nms_iou": c.nms_iou,
-        "score_threshold": c.score_threshold,
-    }
-
-
-def model_from_dict(d: dict) -> D.ModelConfig:
-    return D.ModelConfig(
-        stage_points=tuple(d["stage_points"]),
-        stage_ssa=[ssa_from_dict(s) for s in d["stage_ssa"]],
-        num_classes=d["num_classes"],
-        anchors=[tuple(a) for a in d["anchors"]],
-        in_channels=d.get("in_channels", 1),
-        vote_hidden=list(d.get("vote_hidden", [64])),
-        agg_radius=d.get("agg_radius", 4.0),
-        agg_k=d.get("agg_k", 16),
-        agg_f=list(d.get("agg_f", [128, 128])),
-        agg_a=list(d.get("agg_a", [128])),
-        head_hidden=list(d.get("head_hidden", [64])),
-        angle_bins=d.get("angle_bins", 12),
-        nms_iou=d.get("nms_iou", 0.25),
-        score_threshold=d.get("score_threshold", 0.3),
-    )
-
-
-def synth_to_dict(c: DT.SynthConfig) -> dict:
-    return {
-        "extent": c.extent,
-        "points_per_scene": c.points_per_scene,
-        "noise_points": c.noise_points,
-        "objects_min": c.objects_min,
-        "objects_max": c.objects_max,
-        "point_jitter": c.point_jitter,
-        "noise_height": c.noise_height,
-        "classes": [
-            {"name": s.name, "mean_size": list(s.mean_size), "size_jitter": list(s.size_jitter)}
-            for s in c.classes
-        ],
-    }
-
-
-def synth_from_dict(d: dict) -> DT.SynthConfig:
-    kwargs = {k: d[k] for k in (
-        "extent", "points_per_scene", "noise_points", "objects_min",
-        "objects_max", "point_jitter", "noise_height",
-    ) if k in d}
-    if "classes" in d:
-        kwargs["classes"] = [
-            DT.ClassSpec(s["name"], tuple(s["mean_size"]), tuple(s["size_jitter"]))
-            for s in d["classes"]
-        ]
-    return DT.SynthConfig(**kwargs)
-
-
-def train_to_dict(c: H.TrainConfig) -> dict:
-    return {
-        "epochs": c.epochs,
-        "peak_lr": c.peak_lr,
-        "beta1": c.beta1,
-        "beta2": c.beta2,
-        "adam_eps": c.adam_eps,
-        "warmup_frac": c.warmup_frac,
-        "div_factor": c.div_factor,
-        "final_div_factor": c.final_div_factor,
-        "seed": c.seed,
-    }
-
-
-def train_from_dict(d: dict) -> H.TrainConfig:
-    kwargs = {k: d[k] for k in (
-        "epochs", "peak_lr", "beta1", "beta2", "adam_eps",
-        "warmup_frac", "div_factor", "final_div_factor", "seed",
-    ) if k in d}
-    return H.TrainConfig(**kwargs)
-
-
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
+def _load_config_file(path: str | None) -> tuple[D.ModelConfig | None, DT.SynthConfig, H.TrainConfig]:
+    """(model, synth, train) from a --config file. An absent model is None;
+    absent synth and train sections take the dataclass defaults."""
+    payload = {}
+    if path:
+        try:
+            payload = json.loads(Path(path).read_text())
+        except (OSError, json.JSONDecodeError) as err:
+            raise UsageError(f"cannot read config file {path}: {err}") from err
+        if not isinstance(payload, dict):
+            raise UsageError(f"config file {path} must hold a JSON object")
     try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as err:
-        raise UsageError(f"cannot read config file {path}: {err}") from err
-    if not isinstance(payload, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
-    return payload
+        unknown = sorted(set(payload) - {"model", "synth", "train"})
+        if unknown:
+            raise ValueError(f"{unknown[0]}: unknown key")
+        model = config_from_dict(D.ModelConfig, payload["model"], "model") if "model" in payload else None
+        synth = config_from_dict(DT.SynthConfig, payload.get("synth", {}), "synth")
+        train = config_from_dict(H.TrainConfig, payload.get("train", {}), "train")
+    except ValueError as err:
+        raise UsageError(f"config file {path}: {err}") from err
+    return model, synth, train
 
 
 def anchors_from_synth(synth: DT.SynthConfig) -> list[tuple[float, float, float]]:
@@ -196,11 +148,21 @@ def _git_describe() -> str:
         return "unknown"
 
 
-def _atomic_write_json(path: Path, payload: dict) -> None:
+def _atomic_write(path, write) -> None:
+    """Run write(tmp) on a sibling temp file, then move it over path, so
+    path holds either its old bytes or the complete new file."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_json(path, payload: dict) -> None:
+    _atomic_write(path, lambda tmp: tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n"))
 
 
 class ManifestWriter:
@@ -227,7 +189,7 @@ class ManifestWriter:
         if error:
             self.record["error"] = error
         self.record["wall_time_s"] = round(time.perf_counter() - self._start, 6)
-        _atomic_write_json(self.path, self.record)
+        _write_json(self.path, self.record)
 
 
 def _run_with_manifest(subcommand, seed, resolved, manifest_path, body) -> None:
@@ -245,8 +207,7 @@ def _run_with_manifest(subcommand, seed, resolved, manifest_path, body) -> None:
 
 
 def cmd_gen(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    synth = synth_from_dict(file_cfg.get("synth", {}))
+    _, synth, _ = _load_config_file(args.config)
     for flag, attr in (
         ("points", "points_per_scene"),
         ("noise", "noise_points"),
@@ -259,7 +220,7 @@ def cmd_gen(args) -> int:
             setattr(synth, attr, value)
     synth.__post_init__()
     out_dir = Path(args.out)
-    resolved = {"synth": synth_to_dict(synth), "scenes": args.scenes}
+    resolved = {"synth": config_to_dict(synth), "scenes": args.scenes}
 
     def body(writer):
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -276,16 +237,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    file_cfg = _load_config_file(args.config)
+    model, synth, train = _load_config_file(args.config)
     scenes = DT.dataset(args.data)
-    if "model" in file_cfg:
-        model = model_from_dict(file_cfg["model"])
-    else:
+    if model is None:
         # anchors default to the class mean sizes of the generator config
-        synth_meta = synth_from_dict(file_cfg.get("synth", {}))
-        anchors = anchors_from_synth(synth_meta)
+        anchors = anchors_from_synth(synth)
         model = D.default_model_config(num_classes=len(anchors), anchors=anchors)
-    train = train_from_dict(file_cfg.get("train", {}))
     train.seed = args.seed
     if args.epochs is not None:
         train.epochs = args.epochs
@@ -295,17 +252,23 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     ckpt = out_dir / "model.ckpt"
     loss_csv = out_dir / "loss.csv"
-    train.checkpoint_path = str(ckpt)
-    train.log_csv_path = str(loss_csv)
-    resolved = {"model": model_to_dict(model), "train": train_to_dict(train)}
+    resolved = {"model": config_to_dict(model), "train": config_to_dict(train)}
 
     def body(writer):
         out_dir.mkdir(parents=True, exist_ok=True)
-        result = H.train_toy(scenes, model, train)
-        T.save_checkpoint(
-            ckpt, result.params.named(),
-            meta={"model_config": model_to_dict(model), "train_config": train_to_dict(train)},
-        )
+        try:
+            result = H.train_toy(scenes, model, train)
+        except H.TrainingAborted as err:
+            dump = out_dir / "model.ckpt.failure.json"
+            _write_json(dump, {
+                "reason": err.reason, "epoch": err.epoch,
+                "scene_id": err.scene_id, "last_rows": err.last_rows,
+            })
+            log.error("training aborted; diagnostics in %s", dump)
+            raise
+        meta = {"model_config": resolved["model"], "train_config": resolved["train"]}
+        _atomic_write(ckpt, lambda tmp: T.save_checkpoint(tmp, result.params.named(), meta=meta))
+        _atomic_write(loss_csv, lambda tmp: H.write_history_csv(tmp, result.history))
         writer.add_output(ckpt)
         writer.add_output(loss_csv)
         ratio = result.final_loss / max(result.first_epoch_loss, 1e-12)
@@ -323,7 +286,7 @@ def _load_model(path) -> tuple[D.ModelConfig, D.ModelParams]:
     arrays, meta = T.load_checkpoint(path)
     if "model_config" not in meta:
         raise ValueError(f"checkpoint {path} carries no model config")
-    config = model_from_dict(meta["model_config"])
+    config = config_from_dict(D.ModelConfig, meta["model_config"], "model_config")
     params = D.init_model_params(config, seed=0)
     T.load_into(params.named(), arrays)
     return config, params
@@ -337,12 +300,12 @@ def cmd_detect(args) -> int:
         config.nms_iou = args.nms_iou
     cloud = DT.read_cloud(args.input)
     out_path = Path(args.out)
-    resolved = {"model": model_to_dict(config)}
+    resolved = {"model": config_to_dict(config)}
 
     def body(writer):
         dets = D.detect(cloud, config, params, args.seed)
         scene_id = Path(args.input).stem
-        DT.write_detections(out_path, scene_id, dets)
+        _atomic_write(out_path, lambda tmp: DT.write_detections(tmp, scene_id, dets))
         writer.add_output(out_path)
         print(f"{len(dets)} detections -> {out_path}")
 
@@ -360,7 +323,7 @@ def cmd_probe(args) -> int:
         scenes = scenes[: args.scenes]
     out_path = Path(args.out)
     resolved = {
-        "model": model_to_dict(config),
+        "model": config_to_dict(config),
         "eps": args.eps,
         "tol": args.tol,
         "scenes": len(scenes),
@@ -388,16 +351,20 @@ def cmd_probe(args) -> int:
                     ]
                 )
             log.info("probe %s: %s", sid, report.summary())
-        with open(out_path, "w", newline="") as fh:
-            writer_csv = csv.writer(fh)
-            writer_csv.writerow(
-                [
-                    "scene_id", "cluster", "radius_shift", "radius_plain",
-                    "pairing", "qualifying", "expanded", "composed_reach",
-                    "plain_violations",
-                ]
-            )
-            writer_csv.writerows(rows)
+
+        def write(tmp):
+            with open(tmp, "w", newline="") as fh:
+                writer_csv = csv.writer(fh)
+                writer_csv.writerow(
+                    [
+                        "scene_id", "cluster", "radius_shift", "radius_plain",
+                        "pairing", "qualifying", "expanded", "composed_reach",
+                        "plain_violations",
+                    ]
+                )
+                writer_csv.writerows(rows)
+
+        _atomic_write(out_path, write)
         writer.add_output(out_path)
         print(f"probed {len(scenes)} scenes -> {out_path}")
 
@@ -409,22 +376,13 @@ def cmd_probe(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    file_cfg = _load_config_file(args.config)
+    model, _, _ = _load_config_file(args.config)
     scenes = DT.dataset(args.data)
     clouds = [scene.cloud for scene, _ in scenes]
-    if "model" in file_cfg:
-        base = model_from_dict(file_cfg["model"])
-        cs_cfg = base
-        import dataclasses
-
-        none_cfg = dataclasses.replace(
-            base, stage_ssa=[dataclasses.replace(c, exchange_op="none") for c in base.stage_ssa]
-        )
-    else:
-        cs_cfg = D.default_model_config(exchange_op="cs")
-        none_cfg = D.default_model_config(exchange_op="none")
+    cs_cfg = model or D.default_model_config()
+    none_cfg = H._strip_exchange(cs_cfg)
     out_path = Path(args.out)
-    resolved = {"model": model_to_dict(cs_cfg), "repetitions": args.reps}
+    resolved = {"model": config_to_dict(cs_cfg), "repetitions": args.reps}
 
     def body(writer):
         variants = [
@@ -432,7 +390,7 @@ def cmd_bench(args) -> int:
             ("none", none_cfg, D.init_model_params(none_cfg, seed=args.seed)),
         ]
         report = H.latency_bench(variants, clouds, repetitions=args.reps, seed=args.seed)
-        H.write_bench_csv(out_path, report)
+        _atomic_write(out_path, lambda tmp: H.write_bench_csv(tmp, report))
         writer.add_output(out_path)
         for row in report.rows:
             print(
@@ -448,15 +406,14 @@ def cmd_bench(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    file_cfg = _load_config_file(args.config)
+    _, synth, train = _load_config_file(args.config)
     scenes = DT.dataset(args.data)
-    train = train_from_dict(file_cfg.get("train", {}))
     train.seed = args.seed
     if args.epochs is not None:
         train.epochs = args.epochs
     axes = None if args.axis == "all" else [args.axis]
     out_path = Path(args.out)
-    anchors = anchors_from_synth(synth_from_dict(file_cfg.get("synth", {})))
+    anchors = anchors_from_synth(synth)
 
     def factory(ratio, selection, exchange):
         return D.default_model_config(
@@ -467,11 +424,11 @@ def cmd_ablate(args) -> int:
             shift_ratio=ratio,
         )
 
-    resolved = {"train": train_to_dict(train), "axes": axes or ["ratio", "selection", "exchange"]}
+    resolved = {"train": config_to_dict(train), "axes": axes or ["ratio", "selection", "exchange"]}
 
     def body(writer):
-        report = H.run_ablation(scenes, factory, train, axes=axes, jobs=args.jobs)
-        H.write_ablation_csv(out_path, report)
+        report = H.run_ablation(scenes, factory, train, axes=axes)
+        _atomic_write(out_path, lambda tmp: H.write_ablation_csv(tmp, report))
         writer.add_output(out_path)
         for cell in report.cells:
             metric = f"recall {cell.recall:.3f} loss {cell.mean_loss:.4f}" if cell.status == "ok" else cell.detail
@@ -567,7 +524,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", type=str, required=True)
     p.add_argument("--axis", choices=["ratio", "selection", "exchange", "all"], default="all")
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification suite")

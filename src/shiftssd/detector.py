@@ -500,9 +500,9 @@ def nms3d(detections: list[Detection], iou_threshold: float) -> list[Detection]:
     return [detections[i] for i in kept]
 
 
-def detect(cloud: G.PointCloud, config: ModelConfig, params: ModelParams, seed: int) -> list[Detection]:
-    """Full pipeline on one scene; background is never emitted."""
-    out = model_forward(cloud, config, params, seed)
+def postprocess(out: ForwardOutput, config: ModelConfig) -> list[Detection]:
+    """Score threshold, box decoding and NMS over one forward's head outputs;
+    background is never emitted."""
     logits = out.raw.cls_logits.values
     shifted = logits - logits.max(axis=1, keepdims=True)
     ez = np.exp(shifted)
@@ -519,3 +519,8 @@ def detect(cloud: G.PointCloud, config: ModelConfig, params: ModelParams, seed: 
         for i in keep
     ]
     return nms3d(dets, config.nms_iou)
+
+
+def detect(cloud: G.PointCloud, config: ModelConfig, params: ModelParams, seed: int) -> list[Detection]:
+    """Full pipeline on one scene."""
+    return postprocess(model_forward(cloud, config, params, seed), config)

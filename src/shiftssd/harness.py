@@ -11,7 +11,6 @@ feature flow rather than sampling jitter.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import time
 from dataclasses import dataclass, field, replace
@@ -43,8 +42,6 @@ class TrainConfig:
     div_factor: float = 25.0
     final_div_factor: float = 1e4
     seed: int = 0
-    checkpoint_path: str | None = None
-    log_csv_path: str | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -108,8 +105,16 @@ class TrainResult:
     final_loss: float
 
 
-def _scene_objects(scene: DT.Scene) -> list[tuple[D.Box3D, int]]:
-    return scene.objects
+class TrainingAborted(RuntimeError):
+    """A training step failed, usually on a non-finite loss. Carries where it
+    happened and the last epochs' history rows for a diagnostic dump."""
+
+    def __init__(self, epoch: int, scene_id: str, last_rows: list[dict], reason: str):
+        super().__init__(f"non-finite loss at epoch {epoch}, scene {scene_id}: {reason}")
+        self.epoch = epoch
+        self.scene_id = scene_id
+        self.last_rows = last_rows
+        self.reason = reason
 
 
 def train_toy(
@@ -123,7 +128,7 @@ def train_toy(
     strategy depends only on geometry, since fixed positions plus a
     fixed seed reproduce them identically every epoch. Aggregation
     around the moving vote candidates is re-sampled every step. A
-    non-finite loss aborts with a diagnostic dump.
+    non-finite loss raises TrainingAborted.
     """
     if not scenes:
         raise ValueError("training needs at least one scene")
@@ -156,7 +161,7 @@ def train_toy(
                     out.offsets,
                     out.candidates,
                     out.stages[-1].positions,
-                    _scene_objects(scene),
+                    scene.objects,
                     model_config,
                 )
                 if not np.isfinite(breakdown.total):
@@ -165,10 +170,7 @@ def train_toy(
                 total.backward()
                 opt.step(lr)
             except ValueError as err:
-                _dump_failure(train_config, epoch, sid, history, str(err))
-                raise RuntimeError(
-                    f"non-finite loss at epoch {epoch}, scene {sid}: {err}"
-                ) from err
+                raise TrainingAborted(epoch, sid, history[-3:], str(err)) from err
             if cacheable and idx not in decision_cache:
                 decision_cache[idx] = out.decisions.stages
             for key, value in breakdown.as_dict().items():
@@ -180,34 +182,12 @@ def train_toy(
         history.append(row)
         log.info("epoch %d total %.6f lr %.5f", epoch, row["total"], lr)
 
-    if train_config.log_csv_path:
-        write_history_csv(train_config.log_csv_path, history)
-    if train_config.checkpoint_path:
-        T.save_checkpoint(train_config.checkpoint_path, params.named())
     return TrainResult(
         params=params,
         history=history,
         first_epoch_loss=history[0]["total"],
         final_loss=history[-1]["total"],
     )
-
-
-def _dump_failure(train_config, epoch, scene_id, history, reason):
-    if not train_config.checkpoint_path:
-        return
-    dump_path = str(train_config.checkpoint_path) + ".failure.json"
-    with open(dump_path, "w") as fh:
-        json.dump(
-            {
-                "reason": reason,
-                "epoch": epoch,
-                "scene_id": scene_id,
-                "last_rows": history[-3:],
-            },
-            fh,
-            indent=1,
-        )
-    log.error("training aborted; diagnostics in %s", dump_path)
 
 
 def write_history_csv(path, history: list[dict]) -> None:
@@ -245,12 +225,10 @@ def evaluate(
     matched = total = 0
     losses = []
     for idx, (scene, _) in enumerate(scenes):
-        fwd_seed = scene_seed(seed, idx)
-        dets = D.detect(scene.cloud, model_config, params, fwd_seed)
-        m, t = match_recall(dets, scene.objects, iou_threshold)
+        out = D.model_forward(scene.cloud, model_config, params, scene_seed(seed, idx))
+        m, t = match_recall(D.postprocess(out, model_config), scene.objects, iou_threshold)
         matched += m
         total += t
-        out = D.model_forward(scene.cloud, model_config, params, fwd_seed)
         breakdown, _, _ = L.compute_loss(
             out.raw, out.offsets, out.candidates, out.stages[-1].positions,
             scene.objects, model_config,
@@ -497,9 +475,7 @@ def _run_ablation_cell(scenes, config_factory, train_config, axis, value) -> Abl
         label = exchange
     try:
         config = config_factory(ratio, selection, exchange)
-        result = train_toy(
-            scenes, config, replace(train_config, checkpoint_path=None, log_csv_path=None)
-        )
+        result = train_toy(scenes, config, train_config)
         recall, mean_loss = evaluate(scenes, config, result.params, train_config.seed)
         log.info("ablation %s=%s recall %.3f loss %.4f", axis, label, recall, mean_loss)
         return AblationCell(axis=axis, value=label, recall=recall, mean_loss=mean_loss, status="ok")
@@ -515,31 +491,16 @@ def run_ablation(
     config_factory,
     train_config: TrainConfig,
     axes: list[str] | None = None,
-    jobs: int = 1,
 ) -> AblationReport:
     """Train one cell per grid entry with identical seed and budget.
 
     config_factory(shift_ratio, selection, exchange_op) must return a
-    ModelConfig. Cells are independent, so jobs > 1 fans them out over a
-    thread pool without changing any cell's result. Cell failures are
-    recorded and the sweep continues.
+    ModelConfig. Cell failures are recorded and the sweep continues.
     """
-    grid = ablation_grid(axes)
-    if jobs <= 1:
-        cells = [
-            _run_ablation_cell(scenes, config_factory, train_config, axis, value)
-            for axis, value in grid
-        ]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cells = list(
-                pool.map(
-                    lambda cell: _run_ablation_cell(scenes, config_factory, train_config, *cell),
-                    grid,
-                )
-            )
+    cells = [
+        _run_ablation_cell(scenes, config_factory, train_config, axis, value)
+        for axis, value in ablation_grid(axes)
+    ]
     return AblationReport(cells=cells)
 
 

@@ -4,6 +4,7 @@ import pytest
 from shiftssd import data as DT
 from shiftssd import detector as D
 from shiftssd import harness as H
+from shiftssd import losses as L
 from shiftssd import ssa as S
 from shiftssd.geometry import PointCloud
 
@@ -106,20 +107,6 @@ class TestTrainToy:
         windows = [totals[i + 10] < totals[i] for i in range(len(totals) - 10)]
         assert np.mean(windows) >= 0.8
 
-    def test_writes_checkpoint_and_csv(self, tiny_scenes, tmp_path):
-        config = tiny_factory()
-        ckpt = tmp_path / "model.ckpt"
-        csv_path = tmp_path / "loss.csv"
-        train_cfg = H.TrainConfig(
-            epochs=2, peak_lr=0.005, seed=8,
-            checkpoint_path=str(ckpt), log_csv_path=str(csv_path),
-        )
-        H.train_toy(tiny_scenes, config, train_cfg)
-        assert ckpt.exists()
-        lines = csv_path.read_text().strip().splitlines()
-        assert lines[0].startswith("epoch,")
-        assert len(lines) == 3
-
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="at least one scene"):
             H.train_toy([], tiny_factory(), H.TrainConfig(epochs=1, seed=0))
@@ -139,6 +126,33 @@ class TestEvaluate:
         recall, mean_loss = H.evaluate(tiny_scenes, config, params, seed=9)
         assert 0.0 <= recall <= 1.0
         assert np.isfinite(mean_loss)
+
+    def test_one_forward_per_scene_same_result(self, tiny_scenes, monkeypatch):
+        # the reference recipe: detect for recall, a second forward for the loss
+        config = tiny_factory()
+        # briefly trained and unthresholded, so recall is not trivially 0
+        params = H.train_toy(tiny_scenes, config, H.TrainConfig(epochs=40, peak_lr=0.01, seed=7)).params
+        config.score_threshold = 0.0
+        matched = total = 0
+        losses = []
+        for idx, (scene, _) in enumerate(tiny_scenes):
+            fwd_seed = H.scene_seed(7, idx)
+            m, t = H.match_recall(D.detect(scene.cloud, config, params, fwd_seed), scene.objects)
+            matched += m
+            total += t
+            out = D.model_forward(scene.cloud, config, params, fwd_seed)
+            breakdown, _, _ = L.compute_loss(
+                out.raw, out.offsets, out.candidates, out.stages[-1].positions, scene.objects, config
+            )
+            losses.append(breakdown.total)
+        expected = (matched / total, float(np.mean(losses)))
+        assert 0 < matched
+
+        calls = []
+        forward = D.model_forward
+        monkeypatch.setattr(D, "model_forward", lambda *a, **k: calls.append(1) or forward(*a, **k))
+        assert H.evaluate(tiny_scenes, config, params, seed=7) == expected
+        assert len(calls) == len(tiny_scenes)
 
 
 def probe_model():
