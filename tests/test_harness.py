@@ -6,6 +6,7 @@ from shiftssd import detector as D
 from shiftssd import harness as H
 from shiftssd import losses as L
 from shiftssd import ssa as S
+from shiftssd import tensor as T
 from shiftssd.geometry import PointCloud
 
 
@@ -106,6 +107,21 @@ class TestTrainToy:
         totals = [row["total"] for row in result.history]
         windows = [totals[i + 10] < totals[i] for i in range(len(totals) - 10)]
         assert np.mean(windows) >= 0.8
+
+    def test_writes_checkpoint_and_csv(self, tiny_scenes, tmp_path):
+        config = tiny_factory()
+        ckpt = tmp_path / "model.ckpt"
+        csv_path = tmp_path / "loss.csv"
+        train_cfg = H.TrainConfig(epochs=2, peak_lr=0.005, seed=8)
+        result = H.train_toy(tiny_scenes, config, train_cfg)
+        T.save_checkpoint(ckpt, result.params.named())
+        H.write_history_csv(csv_path, result.history)
+        assert ckpt.exists()
+        loaded, _ = T.load_checkpoint(ckpt)
+        assert set(loaded) == {name for name, _ in result.params.named()}
+        lines = csv_path.read_text().strip().splitlines()
+        assert lines[0].startswith("epoch,")
+        assert len(lines) == 3
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="at least one scene"):
