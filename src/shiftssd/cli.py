@@ -223,11 +223,11 @@ def cmd_gen(args) -> int:
     resolved = {"synth": config_to_dict(synth), "scenes": args.scenes}
 
     def body(writer):
-        out_dir.mkdir(parents=True, exist_ok=True)
         for i in range(args.scenes):
             sid = f"scene_{i:04d}"
             scene = DT.generate_scene(synth, seed=G.derive_seed(args.seed, 50, i))
-            DT.write_scene(out_dir, sid, scene)
+            _atomic_write(out_dir / f"{sid}.bin", lambda tmp: DT.write_cloud(tmp, scene.cloud))
+            _atomic_write(out_dir / f"{sid}.json", lambda tmp: DT.write_labels(tmp, scene.objects))
             writer.add_output(out_dir / f"{sid}.bin")
             writer.add_output(out_dir / f"{sid}.json")
         log.info("wrote %d scenes to %s", args.scenes, out_dir)

@@ -210,7 +210,7 @@ def read_labels(path) -> list[tuple[Box3D, int]]:
             size = np.asarray(entry["size"], dtype=np.float64)
             yaw = float(entry["yaw"])
             cls = int(entry["class_id"])
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ValueError(f"{path}: label {i} malformed: {err}") from err
         if (size <= 0).any():
             raise ValueError(f"{path}: label {i} has non-positive size")
@@ -255,9 +255,10 @@ def read_detections(path) -> list[tuple[str, Detection]]:
                 class_id=int(entry["class_id"]),
                 score=float(entry["score"]),
             )
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as err:
+            scene_id = str(entry["scene_id"])
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ValueError(f"{path}: bad detection on line {line_no + 1}: {err}") from err
-        out.append((str(entry["scene_id"]), det))
+        out.append((scene_id, det))
     return out
 
 

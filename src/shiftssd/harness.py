@@ -155,6 +155,10 @@ def train_toy(
             if cacheable and idx in decision_cache:
                 frozen = D.DetectorDecisions(stages=decision_cache[idx], agg_table=None)
             try:
+                # Rebinding out/total frees the previous step's graph only
+                # after this forward has allocated its own; deleting it first
+                # lets the allocator hand the memory back to the OS, and each
+                # step then page-faults its whole graph in again.
                 out = D.model_forward(scene.cloud, model_config, params, fwd_seed, frozen=frozen)
                 breakdown, total, _ = L.compute_loss(
                     out.raw,

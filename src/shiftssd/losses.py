@@ -123,14 +123,11 @@ def smooth_l1(x, beta: float = 1.0) -> T.Tensor:
     a = np.abs(v)
     quad = a < beta
     per = np.where(quad, 0.5 * v * v / beta, a - 0.5 * beta)
-    out = T.Tensor([[per.mean()]], parents=(xt,))
 
-    def _bp():
-        g = out.grad[0, 0] / v.size
-        xt.grad += g * np.where(quad, v / beta, np.sign(v))
+    def _bp(g):
+        xt.grad += g[0, 0] / v.size * np.where(quad, v / beta, np.sign(v))
 
-    out._backprop = _bp
-    return out
+    return T.Tensor([[per.mean()]], parents=(xt,), backprop=_bp)
 
 
 def cls_loss(logits: T.Tensor, labels) -> T.Tensor:
@@ -146,15 +143,13 @@ def cls_loss(logits: T.Tensor, labels) -> T.Tensor:
     p = ez / ez.sum(axis=1, keepdims=True)
     log_p = z - np.log(ez.sum(axis=1, keepdims=True))
     val = float(-log_p[np.arange(n), labels].mean())
-    out = T.Tensor([[val]], parents=(logits,))
 
-    def _bp():
+    def _bp(g):
         onehot = np.zeros_like(p)
         onehot[np.arange(n), labels] = 1.0
-        logits.grad += out.grad[0, 0] * (p - onehot) / n
+        logits.grad += g[0, 0] * (p - onehot) / n
 
-    out._backprop = _bp
-    return out
+    return T.Tensor([[val]], parents=(logits,), backprop=_bp)
 
 
 def _zero() -> T.Tensor:

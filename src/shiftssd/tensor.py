@@ -1,11 +1,19 @@
 """Minimal reverse-mode autodiff over dense 2-D float64 matrices.
 
-Every operation allocates a fresh node holding its values, a zero
-gradient buffer, and a closure that scatters the upstream gradient into
-the node's parents. ``Tensor.backward()`` replays the closures in
-reverse topological order. Shapes are strictly 2-D (vectors are lifted
-to a single row); there is no general broadcasting, only the explicit
-helpers ``repeat_rows`` and ``scale_rows``.
+Every operation allocates a fresh node holding its values, a gradient
+buffer (zeros, allocated on first use), and a closure that scatters the
+upstream gradient into the node's parents. ``Tensor.backward()``
+replays the closures in reverse topological order, calling each with
+its node's gradient.
+Shapes are strictly 2-D (vectors are lifted to a single row); there is
+no general broadcasting, only the explicit helpers ``repeat_rows`` and
+``scale_rows``.
+
+A backward closure gets the upstream gradient as its argument and never
+references its own output node (an op builds the closure first and
+hands it to the node's constructor). Nodes point only at their parents,
+so a graph is acyclic and reference counting frees it the moment its
+last reference drops, with no help from the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import numpy as np
 class Tensor:
     """Dense 2-D float64 value paired with a same-shape gradient buffer."""
 
-    __slots__ = ("values", "grad", "_parents", "_backprop")
+    __slots__ = ("values", "_grad", "_parents", "_backprop")
 
     def __init__(self, values, parents=(), backprop=None):
         arr = np.asarray(values, dtype=np.float64)
@@ -33,9 +41,21 @@ class Tensor:
         if arr.size and not np.isfinite(arr).all():
             raise ValueError("non-finite values in tensor")
         self.values = arr
-        self.grad = np.zeros_like(arr)
+        self._grad = None
         self._parents = tuple(parents)
         self._backprop = backprop
+
+    @property
+    def grad(self) -> np.ndarray:
+        """Same-shape gradient buffer, allocated as zeros on first use, so
+        a forward that never runs backward touches no gradient memory."""
+        if self._grad is None:
+            self._grad = np.zeros_like(self.values)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        self._grad = value
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -58,7 +78,7 @@ class Tensor:
         self.grad = self.grad + np.asarray(seed, dtype=np.float64).reshape(self.values.shape)
         for node in _topo_from(self):
             if node._backprop is not None:
-                node._backprop()
+                node._backprop(node.grad)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.shape})"
@@ -101,138 +121,114 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
-    out = Tensor(a.values + b.values, parents=(a, b))
 
-    def _bp():
-        a.grad += out.grad
-        b.grad += out.grad
+    def _bp(g):
+        a.grad += g
+        b.grad += g
 
-    out._backprop = _bp
-    return out
+    return Tensor(a.values + b.values, parents=(a, b), backprop=_bp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "sub")
-    out = Tensor(a.values - b.values, parents=(a, b))
 
-    def _bp():
-        a.grad += out.grad
-        b.grad -= out.grad
+    def _bp(g):
+        a.grad += g
+        b.grad -= g
 
-    out._backprop = _bp
-    return out
+    return Tensor(a.values - b.values, parents=(a, b), backprop=_bp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
-    out = Tensor(a.values * b.values, parents=(a, b))
 
-    def _bp():
-        a.grad += out.grad * b.values
-        b.grad += out.grad * a.values
+    def _bp(g):
+        a.grad += g * b.values
+        b.grad += g * a.values
 
-    out._backprop = _bp
-    return out
+    return Tensor(a.values * b.values, parents=(a, b), backprop=_bp)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    out = Tensor(a.values * c, parents=(a,))
 
-    def _bp():
-        a.grad += out.grad * c
+    def _bp(g):
+        a.grad += g * c
 
-    out._backprop = _bp
-    return out
+    return Tensor(a.values * c, parents=(a,), backprop=_bp)
 
 
 def exp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.values), parents=(a,))
+    y = np.exp(a.values)
 
-    def _bp():
-        a.grad += out.grad * out.values
+    def _bp(g):
+        a.grad += g * y
 
-    out._backprop = _bp
-    return out
+    return Tensor(y, parents=(a,), backprop=_bp)
 
 
 def cos(a: Tensor) -> Tensor:
-    out = Tensor(np.cos(a.values), parents=(a,))
+    def _bp(g):
+        a.grad += g * -np.sin(a.values)
 
-    def _bp():
-        a.grad += out.grad * -np.sin(a.values)
-
-    out._backprop = _bp
-    return out
+    return Tensor(np.cos(a.values), parents=(a,), backprop=_bp)
 
 
 def sin(a: Tensor) -> Tensor:
-    out = Tensor(np.sin(a.values), parents=(a,))
+    def _bp(g):
+        a.grad += g * np.cos(a.values)
 
-    def _bp():
-        a.grad += out.grad * np.cos(a.values)
-
-    out._backprop = _bp
-    return out
+    return Tensor(np.sin(a.values), parents=(a,), backprop=_bp)
 
 
 def absolute(a: Tensor) -> Tensor:
     """|a| elementwise; subgradient at 0 is 0."""
-    out = Tensor(np.abs(a.values), parents=(a,))
 
-    def _bp():
-        a.grad += out.grad * np.sign(a.values)
+    def _bp(g):
+        a.grad += g * np.sign(a.values)
 
-    out._backprop = _bp
-    return out
+    return Tensor(np.abs(a.values), parents=(a,), backprop=_bp)
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out = Tensor(1.0 / (1.0 + np.exp(-a.values)), parents=(a,))
+    y = 1.0 / (1.0 + np.exp(-a.values))
 
-    def _bp():
-        a.grad += out.grad * out.values * (1.0 - out.values)
+    def _bp(g):
+        a.grad += g * y * (1.0 - y)
 
-    out._backprop = _bp
-    return out
+    return Tensor(y, parents=(a,), backprop=_bp)
 
 
 def relu(a: Tensor) -> Tensor:
     """max(0, a) elementwise; subgradient at 0 is 0."""
-    out = Tensor(np.maximum(a.values, 0.0), parents=(a,))
 
-    def _bp():
-        a.grad += out.grad * (a.values > 0.0)
+    def _bp(g):
+        a.grad += g * (a.values > 0.0)
 
-    out._backprop = _bp
-    return out
+    return Tensor(np.maximum(a.values, 0.0), parents=(a,), backprop=_bp)
 
 
 def avg2(a: Tensor, b: Tensor) -> Tensor:
     """(a + b) / 2; backward sends half the gradient to each input."""
     _check_same_shape(a, b, "avg2")
-    out = Tensor(0.5 * (a.values + b.values), parents=(a, b))
 
-    def _bp():
-        a.grad += 0.5 * out.grad
-        b.grad += 0.5 * out.grad
+    def _bp(g):
+        a.grad += 0.5 * g
+        b.grad += 0.5 * g
 
-    out._backprop = _bp
-    return out
+    return Tensor(0.5 * (a.values + b.values), parents=(a, b), backprop=_bp)
 
 
 def min2(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise min; gradient routes to the smaller input, ties to a."""
     _check_same_shape(a, b, "min2")
     take_a = a.values <= b.values
-    out = Tensor(np.where(take_a, a.values, b.values), parents=(a, b))
 
-    def _bp():
-        a.grad += out.grad * take_a
-        b.grad += out.grad * ~take_a
+    def _bp(g):
+        a.grad += g * take_a
+        b.grad += g * ~take_a
 
-    out._backprop = _bp
-    return out
+    return Tensor(np.where(take_a, a.values, b.values), parents=(a, b), backprop=_bp)
 
 
 # ---------------------------------------------------------------------------
@@ -247,27 +243,23 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     for p in parts[1:]:
         if p.shape[0] != rows:
             raise ValueError(f"concat_cols: row-count mismatch {p.shape[0]} vs {rows}")
-    out = Tensor(np.concatenate([p.values for p in parts], axis=1), parents=tuple(parts))
     offsets = np.cumsum([0] + [p.shape[1] for p in parts])
 
-    def _bp():
+    def _bp(g):
         for p, j0, j1 in zip(parts, offsets[:-1], offsets[1:]):
-            p.grad += out.grad[:, j0:j1]
+            p.grad += g[:, j0:j1]
 
-    out._backprop = _bp
-    return out
+    return Tensor(np.concatenate([p.values for p in parts], axis=1), tuple(parts), backprop=_bp)
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     if not (0 <= start <= stop <= a.shape[1]):
         raise ValueError(f"slice_cols: [{start}:{stop}] out of range for width {a.shape[1]}")
-    out = Tensor(a.values[:, start:stop].copy(), parents=(a,))
 
-    def _bp():
-        a.grad[:, start:stop] += out.grad
+    def _bp(g):
+        a.grad[:, start:stop] += g
 
-    out._backprop = _bp
-    return out
+    return Tensor(a.values[:, start:stop].copy(), parents=(a,), backprop=_bp)
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -276,13 +268,11 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     n = a.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ValueError(f"gather_rows: index out of range for {n} rows")
-    out = Tensor(a.values[idx], parents=(a,))
 
-    def _bp():
-        np.add.at(a.grad, idx, out.grad)
+    def _bp(g):
+        np.add.at(a.grad, idx, g)
 
-    out._backprop = _bp
-    return out
+    return Tensor(a.values[idx], parents=(a,), backprop=_bp)
 
 
 def repeat_rows(a: Tensor, k: int) -> Tensor:
@@ -290,60 +280,49 @@ def repeat_rows(a: Tensor, k: int) -> Tensor:
     if k < 1:
         raise ValueError("repeat_rows: k must be >= 1")
     m, c = a.shape
-    out = Tensor(np.repeat(a.values, k, axis=0), parents=(a,))
 
-    def _bp():
-        a.grad += out.grad.reshape(m, k, c).sum(axis=1)
+    def _bp(g):
+        a.grad += g.reshape(m, k, c).sum(axis=1)
 
-    out._backprop = _bp
-    return out
+    return Tensor(np.repeat(a.values, k, axis=0), parents=(a,), backprop=_bp)
 
 
 def row_sum(a: Tensor) -> Tensor:
     """Sum over columns, keeping an Mx1 shape."""
-    out = Tensor(a.values.sum(axis=1, keepdims=True), parents=(a,))
 
-    def _bp():
-        a.grad += out.grad
+    def _bp(g):
+        a.grad += g
 
-    out._backprop = _bp
-    return out
+    return Tensor(a.values.sum(axis=1, keepdims=True), parents=(a,), backprop=_bp)
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = Tensor([[a.values.sum()]], parents=(a,))
+    def _bp(g):
+        a.grad += g[0, 0]
 
-    def _bp():
-        a.grad += out.grad[0, 0]
-
-    out._backprop = _bp
-    return out
+    return Tensor([[a.values.sum()]], parents=(a,), backprop=_bp)
 
 
 def mean_all(a: Tensor) -> Tensor:
     if a.values.size == 0:
         raise ValueError("mean_all: empty tensor")
-    out = Tensor([[a.values.mean()]], parents=(a,))
 
-    def _bp():
-        a.grad += out.grad[0, 0] / a.values.size
+    def _bp(g):
+        a.grad += g[0, 0] / a.values.size
 
-    out._backprop = _bp
-    return out
+    return Tensor([[a.values.mean()]], parents=(a,), backprop=_bp)
 
 
 def scale_rows(a: Tensor, s: Tensor) -> Tensor:
     """Multiply row i of a (MxC) by scalar s[i] (Mx1)."""
     if s.shape != (a.shape[0], 1):
         raise ValueError(f"scale_rows: scales must be {(a.shape[0], 1)}, got {s.shape}")
-    out = Tensor(a.values * s.values, parents=(a, s))
 
-    def _bp():
-        a.grad += out.grad * s.values
-        s.grad += (out.grad * a.values).sum(axis=1, keepdims=True)
+    def _bp(g):
+        a.grad += g * s.values
+        s.grad += (g * a.values).sum(axis=1, keepdims=True)
 
-    out._backprop = _bp
-    return out
+    return Tensor(a.values * s.values, parents=(a, s), backprop=_bp)
 
 
 def reduce_max(x: Tensor, group_size: int, valid) -> Tensor:
@@ -367,15 +346,13 @@ def reduce_max(x: Tensor, group_size: int, valid) -> Tensor:
     masked = np.where(mask[:, :, None], grouped, -np.inf)
     arg = masked.argmax(axis=1)  # (m, c); argmax picks the smallest index on ties
     out_vals = np.take_along_axis(grouped, arg[:, None, :], axis=1)[:, 0, :]
-    out = Tensor(out_vals, parents=(x,))
 
-    def _bp():
+    def _bp(g):
         flat_rows = (np.arange(m)[:, None] * group_size + arg).ravel()
         flat_cols = np.tile(np.arange(c), m)
-        np.add.at(x.grad, (flat_rows, flat_cols), out.grad.ravel())
+        np.add.at(x.grad, (flat_rows, flat_cols), g.ravel())
 
-    out._backprop = _bp
-    return out
+    return Tensor(out_vals, parents=(x,), backprop=_bp)
 
 
 # ---------------------------------------------------------------------------
@@ -446,15 +423,14 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
     """x @ W^T + b for x of shape NxC_in."""
     if x.shape[1] != p.in_width:
         raise ValueError(f"linear: input width {x.shape[1]} != weight width {p.in_width}")
-    out = Tensor(x.values @ p.weight.values.T + p.bias.values, parents=(x, p.weight, p.bias))
 
-    def _bp():
-        x.grad += out.grad @ p.weight.values
-        p.weight.grad += out.grad.T @ x.values
-        p.bias.grad += out.grad.sum(axis=0, keepdims=True)
+    def _bp(g):
+        x.grad += g @ p.weight.values
+        p.weight.grad += g.T @ x.values
+        p.bias.grad += g.sum(axis=0, keepdims=True)
 
-    out._backprop = _bp
-    return out
+    values = x.values @ p.weight.values.T + p.bias.values
+    return Tensor(values, parents=(x, p.weight, p.bias), backprop=_bp)
 
 
 def mlp_forward(x: Tensor, p: MlpParams) -> Tensor:
@@ -522,6 +498,37 @@ def save_checkpoint(path, named_tensors: Sequence[tuple[str, Tensor]], meta: dic
         fh.write(blob)
 
 
+def _checkpoint_layout(path, header) -> list[tuple[str, int, int]]:
+    """(name, rows, cols) per tensor of a parsed header, or a ValueError
+    naming the file and what is wrong with the header."""
+    if not isinstance(header, dict):
+        raise ValueError(f"checkpoint {path}: header must be a JSON object")
+    entries = header.get("tensors")
+    if not isinstance(entries, list):
+        raise ValueError(f"checkpoint {path}: header needs a 'tensors' list")
+    if not isinstance(header.get("meta", {}), dict):
+        raise ValueError(f"checkpoint {path}: 'meta' must be a JSON object")
+    layout: list[tuple[str, int, int]] = []
+    names: set[str] = set()
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"checkpoint {path}: tensor {i} must be a JSON object")
+        name, shape = entry.get("name"), entry.get("shape")
+        if not isinstance(name, str):
+            raise ValueError(f"checkpoint {path}: tensor {i} needs a string name")
+        if name in names:
+            raise ValueError(f"checkpoint {path}: repeated tensor name {name!r}")
+        names.add(name)
+        if not (
+            isinstance(shape, list)
+            and len(shape) == 2
+            and all(type(d) is int and d >= 0 for d in shape)
+        ):
+            raise ValueError(f"checkpoint {path}: tensor {name!r} shape must be two non-negative ints")
+        layout.append((name, shape[0], shape[1]))
+    return layout
+
+
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -532,13 +539,12 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         blob = fh.read()
     arrays: dict[str, np.ndarray] = {}
     offset = 0
-    for entry in header["tensors"]:
-        rows, cols = entry["shape"]
+    for name, rows, cols in _checkpoint_layout(path, header):
         count = rows * cols
         if offset + count * 8 > len(blob):
-            raise ValueError(f"checkpoint {path} truncated at tensor {entry['name']}")
+            raise ValueError(f"checkpoint {path} truncated at tensor {name}")
         chunk = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        arrays[entry["name"]] = chunk.reshape(rows, cols).astype(np.float64)
+        arrays[name] = chunk.reshape(rows, cols).astype(np.float64)
         offset += count * 8
     if offset != len(blob):
         raise ValueError(f"checkpoint {path} has {len(blob) - offset} trailing bytes")

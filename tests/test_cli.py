@@ -319,8 +319,9 @@ class TestLogEnv:
 
 
 class TestAtomicWrite:
-    def test_failed_write_keeps_old_file(self, tmp_path):
-        path = tmp_path / "out.csv"
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, small_config_file):
+        path = tmp_path / "csv" / "out.csv"
+        path.parent.mkdir()
         path.write_bytes(b"old contents\n")
 
         def write(tmp):
@@ -331,7 +332,17 @@ class TestAtomicWrite:
         with pytest.raises(OSError, match="disk full"):
             cli._atomic_write(path, write)
         assert path.read_bytes() == b"old contents\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert [p.name for p in path.parent.iterdir()] == ["out.csv"]
+
+        # gen: a rerun that fails mid-scene leaves the scene files as they were
+        out = tmp_path / "scenes"
+        argv = ["gen", "--scenes", 1, "--out", out, "--seed", 7, "--config", small_config_file]
+        assert run(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        monkeypatch.setattr(DT, "write_labels", lambda tmp, objects: write(tmp))
+        assert run(argv) == 2
+        after = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        assert after == before
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftssd import data as DT
+from shiftssd import tensor as T
 from shiftssd.detector import Box3D, Detection, iou3d, normalize_yaw
 from shiftssd.geometry import PointCloud
 from shiftssd.losses import point_in_box
@@ -222,6 +223,52 @@ class TestDetectionIO:
             assert det2.class_id == det.class_id
             assert det2.score == det.score
             np.testing.assert_array_equal(det2.box.center, det.box.center)
+
+    def test_missing_scene_id_names_line(self, tmp_path):
+        entry = {"class_id": 1, "score": 0.5, "center": [0, 0, 0], "size": [1, 1, 1], "yaw": 0.0}
+        path = tmp_path / "dets.jsonl"
+        path.write_text(json.dumps({**entry, "scene_id": "a"}) + "\n" + json.dumps(entry) + "\n")
+        with pytest.raises(ValueError, match="line 2.*scene_id"):
+            DT.read_detections(path)
+
+
+_KEYS = ["center", "size", "yaw", "class_id", "score", "scene_id", "tensors", "name", "shape", "meta"]
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=4), inner, max_size=6),
+    max_leaves=16,
+)
+_json_lines = st.lists(_json_values.map(json.dumps), min_size=1, max_size=3).map(lambda ls: "\n".join(ls).encode())
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("center", [10**400, 0, 0]), ("yaw", 10**400), ("class_id", float("inf"))],
+    ids=["center", "yaw", "class_id"],
+)
+def test_numbers_out_of_float_range_rejected(tmp_path, field, value):
+    label = {"class_id": 1, "center": [0, 0, 0], "size": [1, 1, 1], "yaw": 0.0}
+    labels, dets = tmp_path / "labels.json", tmp_path / "dets.jsonl"
+    labels.write_text(json.dumps([{**label, field: value}]))
+    dets.write_text(json.dumps({**label, "scene_id": "a", "score": 0.5, field: value}))
+    with pytest.raises(ValueError, match="label 0"):
+        DT.read_labels(labels)
+    with pytest.raises(ValueError, match="line 1"):
+        DT.read_detections(dets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(blob=st.binary(max_size=96) | _json_lines | st.tuples(_json_lines, st.binary(max_size=32)).map(b"\n".join))
+def test_readers_fail_only_with_value_error(tmp_path_factory, blob):
+    """Any bytes make each reader return an object or raise ValueError."""
+    path = tmp_path_factory.mktemp("fuzz") / "input"
+    path.write_bytes(blob)
+    for read in (DT.read_cloud, DT.read_labels, DT.read_detections, T.load_checkpoint):
+        try:
+            read(path)
+        except ValueError:
+            pass
 
 
 class TestDataset:

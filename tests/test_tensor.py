@@ -1,6 +1,14 @@
+import gc
+import inspect
+import json
+
 import numpy as np
 import pytest
 
+from shiftssd import data as DT
+from shiftssd import detector as D
+from shiftssd import harness as H
+from shiftssd import losses as L
 from shiftssd import tensor as T
 
 
@@ -314,3 +322,125 @@ class TestCheckpoint:
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError, match="truncated"):
             T.load_checkpoint(path)
+
+
+class TestCheckpointHeader:
+    """A malformed header is a ValueError naming the file and the cause."""
+
+    @pytest.mark.parametrize(
+        "header, cause",
+        [
+            pytest.param([], "JSON object", id="list-header"),
+            pytest.param({}, "'tensors' list", id="no-tensors"),
+            pytest.param({"tensors": {"w": [1, 1]}}, "'tensors' list", id="tensors-not-list"),
+            pytest.param({"tensors": [["w", [1, 1]]]}, "tensor 0 .*object", id="entry-not-object"),
+            pytest.param({"tensors": [{"shape": [1, 1]}]}, "tensor 0 .*name", id="no-name"),
+            pytest.param({"tensors": [{"name": "w", "shape": 3}]}, "'w' .*shape", id="shape-int"),
+            pytest.param({"tensors": [{"name": "w", "shape": [1, 1, 1]}]}, "'w' .*shape", id="shape-3d"),
+            pytest.param({"tensors": [{"name": "w", "shape": [1, -1]}]}, "'w' .*shape", id="shape-negative"),
+            pytest.param({"tensors": [{"name": "w", "shape": [1.0, 1]}]}, "'w' .*shape", id="shape-float"),
+            pytest.param({"tensors": [{"name": "w", "shape": [True, 1]}]}, "'w' .*shape", id="shape-bool"),
+            pytest.param({"tensors": [{"name": "w", "shape": [1, 1]}] * 2}, "repeated tensor name 'w'", id="repeated-name"),
+            pytest.param({"tensors": [], "meta": 5}, "'meta' .*object", id="meta-int"),
+            pytest.param({"tensors": [], "meta": None}, "'meta' .*object", id="meta-null"),
+        ],
+    )
+    def test_rejected_with_path_and_cause(self, tmp_path, header, cause):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(json.dumps(header).encode() + b"\n")
+        with pytest.raises(ValueError, match=cause) as err:
+            T.load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_missing_meta_loads_empty(self, tmp_path):
+        path = tmp_path / "ok.ckpt"
+        path.write_bytes(json.dumps({"tensors": [{"name": "w", "shape": [0, 3]}]}).encode() + b"\n")
+        arrays, meta = T.load_checkpoint(path)
+        assert arrays["w"].shape == (0, 3)
+        assert meta == {}
+
+
+# ---------------------------------------------------------------------------
+# graph lifetime: every forward is freed by reference counting alone
+
+
+def unreachable_after(run) -> int:
+    """Objects the cyclic collector finds once run() has returned and its
+    result is dropped; 0 means reference counting freed everything."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def _x(r, shape=(3, 4)):
+    return T.Tensor(r.normal(size=shape))
+
+
+OP_CASES = {
+    "add": lambda r: T.add(_x(r), _x(r)),
+    "sub": lambda r: T.sub(_x(r), _x(r)),
+    "mul": lambda r: T.mul(_x(r), _x(r)),
+    "scale": lambda r: T.scale(_x(r), 2.5),
+    "avg2": lambda r: T.avg2(_x(r), _x(r)),
+    "min2": lambda r: T.min2(_x(r), _x(r)),
+    "concat_cols": lambda r: T.concat_cols([_x(r), _x(r, (3, 2))]),
+    "slice_cols": lambda r: T.slice_cols(_x(r), 1, 3),
+    "gather_rows": lambda r: T.gather_rows(_x(r), [0, 2, 2]),
+    "repeat_rows": lambda r: T.repeat_rows(_x(r), 2),
+    "scale_rows": lambda r: T.scale_rows(_x(r), _x(r, (3, 1))),
+    "reduce_max": lambda r: T.reduce_max(_x(r, (6, 2)), 2, np.ones((3, 2), dtype=bool)),
+    "linear": lambda r: T.linear(_x(r), T.init_linear(4, 2, r)),
+    "mlp_forward": lambda r: T.mlp_forward(_x(r), T.init_mlp([4, 5, 2], r)),
+    "smooth_l1": lambda r: L.smooth_l1(_x(r)),
+    "cls_loss": lambda r: L.cls_loss(_x(r), [0, 3, 1]),
+}
+for _name in ("exp", "cos", "sin", "absolute", "sigmoid", "relu", "row_sum", "sum_all", "mean_all"):
+    OP_CASES[_name] = lambda r, op=getattr(T, _name): op(_x(r))
+
+
+def test_every_tensor_op_has_an_acyclic_case():
+    ops = {
+        name
+        for name, fn in vars(T).items()
+        if inspect.isfunction(fn) and not name.startswith("_") and fn.__annotations__.get("return") == "Tensor"
+    }
+    assert ops <= set(OP_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+def test_op_graph_freed_by_refcount(name):
+    def run():
+        out = OP_CASES[name](rng(20))
+        out.backward(np.ones(out.shape))
+
+    assert unreachable_after(run) == 0
+
+
+@pytest.fixture(scope="module")
+def small_pipeline():
+    model, synth = H.gradcheck_config()
+    scenes = [(DT.generate_scene(synth, seed=30 + i), f"scene_{i:04d}") for i in range(2)]
+    return model, D.init_model_params(model, seed=1), scenes
+
+
+class TestPipelineGraphsFreedByRefcount:
+    def test_detect(self, small_pipeline):
+        model, params, scenes = small_pipeline
+        assert unreachable_after(lambda: D.detect(scenes[0][0].cloud, model, params, 3)) == 0
+
+    def test_train_epoch(self, small_pipeline):
+        model, _, scenes = small_pipeline
+        assert unreachable_after(lambda: H.train_toy(scenes, model, H.TrainConfig(epochs=1))) == 0
+
+    def test_receptive_field_probe(self, small_pipeline):
+        model, params, scenes = small_pipeline
+        cloud = scenes[0][0].cloud
+
+        def run():
+            H.receptive_field_probe(model, params, cloud, eps=1e-3, tol=1e-9, seed=3)
+
+        assert unreachable_after(run) == 0
