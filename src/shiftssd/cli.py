@@ -406,7 +406,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    _, synth, train = _load_config_file(args.config)
+    model, synth, train = _load_config_file(args.config)
     scenes = DT.dataset(args.data)
     train.seed = args.seed
     if args.epochs is not None:
@@ -414,17 +414,18 @@ def cmd_ablate(args) -> int:
     axes = None if args.axis == "all" else [args.axis]
     out_path = Path(args.out)
     anchors = anchors_from_synth(synth)
+    base = model if model is not None else D.default_model_config(len(anchors), anchors)
 
     def factory(ratio, selection, exchange):
-        return D.default_model_config(
-            num_classes=len(anchors),
-            anchors=anchors,
-            exchange_op=exchange,
-            selection=selection,
-            shift_ratio=ratio,
-        )
+        stages = [
+            dataclasses.replace(cfg, shift_ratio=ratio, selection=selection, exchange_op=exchange)
+            for cfg in base.stage_ssa
+        ]
+        return dataclasses.replace(base, stage_ssa=stages)
 
     resolved = {"train": config_to_dict(train), "axes": axes or ["ratio", "selection", "exchange"]}
+    if model is not None:
+        resolved["model"] = config_to_dict(model)
 
     def body(writer):
         report = H.run_ablation(scenes, factory, train, axes=axes)

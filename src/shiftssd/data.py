@@ -206,18 +206,18 @@ def read_labels(path) -> list[tuple[Box3D, int]]:
     out = []
     for i, entry in enumerate(payload):
         try:
-            center = np.asarray(entry["center"], dtype=np.float64)
             size = np.asarray(entry["size"], dtype=np.float64)
+            if (size <= 0).any():
+                raise ValueError("non-positive size")
             yaw = float(entry["yaw"])
+            wrapped = normalize_yaw(yaw)
+            box = Box3D(center=entry["center"], size=size, yaw=wrapped)
             cls = int(entry["class_id"])
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ValueError(f"{path}: label {i} malformed: {err}") from err
-        if (size <= 0).any():
-            raise ValueError(f"{path}: label {i} has non-positive size")
-        wrapped = normalize_yaw(yaw)
         if wrapped != yaw:
             log.warning("%s: label %d yaw %.6f normalized to %.6f", path, i, yaw, wrapped)
-        out.append((Box3D(center=center, size=size, yaw=wrapped), cls))
+        out.append((box, cls))
     return out
 
 

@@ -491,11 +491,18 @@ def iou3d(a: Box3D, b: Box3D) -> float:
 
 def nms3d(detections: list[Detection], iou_threshold: float) -> list[Detection]:
     """Greedy suppression: keep a detection iff its IoU3D with every
-    higher-scored kept detection stays at or below the threshold."""
+    higher-scored kept detection stays at or below the threshold. Boxes
+    whose BEV circumscribed circles lie apart (by more than rounding) have
+    IoU exactly 0, so under a non-negative threshold iou3d is skipped."""
     order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
+    xy = np.array([det.box.center[:2] for det in detections]).reshape(-1, 2)
+    reach = np.array([np.hypot(*det.box.size[:2]) / 2.0 for det in detections])
+    gap = np.sqrt(((xy[:, None] - xy) ** 2).sum(axis=2)) - (reach[:, None] + reach)
+    slack = 1e-9 * (1.0 + np.abs(xy).max(initial=0.0) + reach.max(initial=0.0))
+    apart = (gap > slack) & (iou_threshold >= 0)
     kept: list[int] = []
     for i in order:
-        if all(iou3d(detections[i].box, detections[j].box) <= iou_threshold for j in kept):
+        if all(apart[i, j] or iou3d(detections[i].box, detections[j].box) <= iou_threshold for j in kept):
             kept.append(i)
     return [detections[i] for i in kept]
 

@@ -8,14 +8,15 @@ so results are reproducible across runs and platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-# Below this cloud size a vectorized scan beats the grid; above it the
-# uniform grid keeps radius queries near O(points per ball).
-_GRID_MIN_POINTS = 1024
+# The radius scan handles centers in blocks of about this many
+# center-point pairs, so each float64 temporary stays near 256 KB and
+# in cache (measured fastest at 512 centers on 2048 points).
+_SCAN_PAIRS = 1 << 15
 
 
 class Point3(NamedTuple):
@@ -89,39 +90,6 @@ class Pairing:
     farthest: np.ndarray  # M int64
 
 
-@dataclass
-class GridIndex:
-    """Uniform spatial hash over a fixed point set.
-
-    Each point lands in exactly one cell keyed by floor(position /
-    cell), so the union of all cells is the indexed set.
-    """
-
-    cell: float
-    positions: np.ndarray
-    cells: dict = field(default_factory=dict)
-
-    def query(self, center, radius: float) -> np.ndarray:
-        """Ascending indices of all points within `radius` of `center`."""
-        center = np.asarray(center, dtype=np.float64).reshape(3)
-        lo = np.floor((center - radius) / self.cell).astype(np.int64)
-        hi = np.floor((center + radius) / self.cell).astype(np.int64)
-        buckets = []
-        for cx in range(lo[0], hi[0] + 1):
-            for cy in range(lo[1], hi[1] + 1):
-                for cz in range(lo[2], hi[2] + 1):
-                    hit = self.cells.get((cx, cy, cz))
-                    if hit is not None:
-                        buckets.append(hit)
-        if not buckets:
-            return np.empty(0, dtype=np.int64)
-        cand = np.concatenate(buckets)
-        d2 = ((self.positions[cand] - center) ** 2).sum(axis=1)
-        keep = cand[d2 <= radius * radius]
-        keep.sort()
-        return keep
-
-
 def pairwise_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between two position sets, MxN."""
     a = np.asarray(a, dtype=np.float64).reshape(-1, 3)
@@ -136,6 +104,19 @@ def derive_seed(seed: int, *salts: int) -> int:
     """A child seed that is a pure function of (seed, salts)."""
     ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, *[int(s) for s in salts]])
     return int(ss.generate_state(1)[0])
+
+
+def _sq_dist(cols: np.ndarray, center, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Squared distances, into `out`, from `center` (three scalars, or three
+    columns for a block of centers) to the points in the x/y/z rows of
+    `cols`; (dx*dx + dy*dy) + dz*dz gives the bits of ((p - c) ** 2).sum(axis=1)."""
+    np.subtract(cols[0], center[0], out=out)
+    out *= out
+    for axis in (1, 2):
+        np.subtract(cols[axis], center[axis], out=tmp)
+        tmp *= tmp
+        out += tmp
+    return out
 
 
 def dfps(cloud: PointCloud, m: int, seed: int) -> np.ndarray:
@@ -155,37 +136,50 @@ def dfps(cloud: PointCloud, m: int, seed: int) -> np.ndarray:
     first = int(rng.integers(n))
     selected = np.empty(m, dtype=np.int64)
     selected[0] = first
-    pos = cloud.positions
-    min_d2 = ((pos - pos[first]) ** 2).sum(axis=1)
+    cols = np.ascontiguousarray(cloud.positions.T)
+    d2, tmp = np.empty(n), np.empty(n)
+    min_d2 = _sq_dist(cols, cols[:, first], np.empty(n), tmp)
     min_d2[first] = -1.0  # mark selected so it can never win again
     for t in range(1, m):
         nxt = int(np.argmax(min_d2))
         selected[t] = nxt
-        d2 = ((pos - pos[nxt]) ** 2).sum(axis=1)
-        np.minimum(min_d2, d2, out=min_d2)
+        np.minimum(min_d2, _sq_dist(cols, cols[:, nxt], d2, tmp), out=min_d2)
         min_d2[nxt] = -1.0
     return selected
 
 
-def build_grid(cloud: PointCloud, cell: float) -> GridIndex:
-    if cell <= 0:
-        raise ValueError("cell size must be positive")
-    keys = np.floor(cloud.positions / cell).astype(np.int64)
-    cells: dict = {}
-    for i, key in enumerate(map(tuple, keys)):
-        cells.setdefault(key, []).append(i)
-    cells = {k: np.asarray(v, dtype=np.int64) for k, v in cells.items()}
-    return GridIndex(cell=float(cell), positions=cloud.positions, cells=cells)
+def _radius_scan(
+    cloud: PointCloud, centers: np.ndarray, radius: float, find_anchors: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Exact inclusive in-radius search by one blocked scan over all points.
 
-
-def _radius_sets(cloud: PointCloud, centers: np.ndarray, radius: float) -> list[np.ndarray]:
-    """Per-center ascending index arrays of in-radius points (inclusive)."""
-    if cloud.n >= _GRID_MIN_POINTS:
-        grid = build_grid(cloud, cell=radius)
-        return [grid.query(c, radius) for c in centers]
-    d2 = pairwise_sq_dist(centers, cloud.positions)
+    Returns the (center, point) index pairs within the radius in
+    row-major order, so each center's points are ascending, and, when
+    `find_anchors` is set, each center's smallest point index at exactly
+    zero distance.
+    """
+    if not np.isfinite(centers).all():
+        raise ValueError("non-finite positions")
+    cols = np.ascontiguousarray(cloud.positions.T)
+    m, n = centers.shape[0], cloud.n
     r2 = radius * radius
-    return [np.flatnonzero(row <= r2) for row in d2]
+    step = max(1, _SCAN_PAIRS // n)
+    out, tmp = np.empty((min(step, m), n)), np.empty((min(step, m), n))
+    hits = [np.empty(0, dtype=np.int64)]
+    anchors = np.empty(m, dtype=np.int64) if find_anchors else None
+    for lo in range(0, m, step):
+        block = centers[lo : lo + step]
+        d2 = _sq_dist(cols, block.T[:, :, None], out[: len(block)], tmp[: len(block)])
+        hits.append(lo * n + np.flatnonzero(d2 <= r2))
+        if find_anchors:
+            zero = d2 == 0.0
+            first = zero.argmax(axis=1)
+            missing = np.flatnonzero(~zero[np.arange(len(block)), first])
+            if missing.size:
+                raise ValueError(f"center {lo + missing[0]} does not coincide with any cloud point")
+            anchors[lo : lo + len(block)] = first
+    row, col = np.divmod(np.concatenate(hits), n)
+    return row, col, anchors
 
 
 def ball_query(
@@ -204,7 +198,9 @@ def ball_query(
     exempt from the radius bound, which supports querying around shifted
     candidate positions). The remaining slots are a seeded uniform
     sample without replacement of the other in-radius points; short rows
-    are padded by duplicating slot 0 with valid False.
+    are padded by duplicating slot 0 with valid False. Only rows with
+    more than K-1 other points draw from the seeded stream, one
+    rng.choice each in row order.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -212,37 +208,30 @@ def ball_query(
         raise ValueError("k must be >= 1")
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
     m = centers.shape[0]
-
-    in_radius = _radius_sets(cloud, centers, radius)
-
-    if self_indices is None:
-        anchors = np.empty(m, dtype=np.int64)
-        for i, center in enumerate(centers):
-            d2 = ((cloud.positions - center) ** 2).sum(axis=1)
-            zero = np.flatnonzero(d2 == 0.0)
-            if zero.size == 0:
-                raise ValueError(f"center {i} does not coincide with any cloud point")
-            anchors[i] = zero[0]
-    else:
+    row, point, anchors = _radius_scan(cloud, centers, radius, self_indices is None)
+    if self_indices is not None:
         anchors = np.asarray(self_indices, dtype=np.int64).reshape(-1)
         if anchors.shape[0] != m:
             raise ValueError("self_indices length must match center count")
         if anchors.size and (anchors.min() < 0 or anchors.max() >= cloud.n):
             raise ValueError("self index out of range")
 
-    rng = np.random.default_rng(seed)
-    indices = np.empty((m, k), dtype=np.int64)
+    others = point != anchors[row]
+    point, row = point[others], row[others]
+    starts = np.searchsorted(row, np.arange(m + 1))
+
+    indices = np.repeat(anchors[:, None], k, axis=1)
     valid = np.zeros((m, k), dtype=bool)
-    for i in range(m):
-        anchor = anchors[i]
-        others = in_radius[i][in_radius[i] != anchor]
-        if others.size > k - 1:
-            others = rng.choice(others, size=k - 1, replace=False)
-        row = np.concatenate(([anchor], others))
-        indices[i, : row.size] = row
-        valid[i, : row.size] = True
-        if row.size < k:
-            indices[i, row.size :] = anchor
+    valid[:, 0] = True
+    full = np.diff(starts) > k - 1
+    short = ~full[row]
+    slot = np.arange(row.size) - starts[row] + 1
+    indices[row[short], slot[short]] = point[short]
+    valid[row[short], slot[short]] = True
+    rng = np.random.default_rng(seed)
+    for i in np.flatnonzero(full):
+        indices[i, 1:] = rng.choice(point[starts[i] : starts[i + 1]], size=k - 1, replace=False)
+    valid[full] = True
     return NeighborTable(indices=indices, valid=valid, radius=float(radius))
 
 
@@ -276,23 +265,20 @@ def pairing_from_table(
     wins. Ties break to the smallest candidate index; rows without a
     non-self candidate pair with themselves.
     """
-    m = table.indices.shape[0]
-    out = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        cand = table.indices[i][table.valid[i]][1:]  # drop the slot-0 anchor
-        if cand.size == 0:
-            out[i] = table.indices[i, 0]
-            continue
-        if mode == "farthest":
-            key = ((positions[cand] - positions[table.indices[i, 0]]) ** 2).sum(axis=1)
-        elif mode == "nearest":
-            key = -((positions[cand] - positions[table.indices[i, 0]]) ** 2).sum(axis=1)
-        elif mode == "score":
-            if scores is None:
-                raise ValueError("mode 'score' requires a score array")
-            key = scores[cand]
-        else:
-            raise ValueError(f"unknown pairing mode {mode!r}")
-        best = key.max()
-        out[i] = cand[key == best].min()
-    return Pairing(farthest=out)
+    anchor, cand = table.indices[:, 0], table.indices[:, 1:]
+    usable = table.valid[:, 1:]
+    if mode in ("farthest", "nearest"):
+        key = ((positions[cand] - positions[anchor][:, None, :]) ** 2).sum(axis=2)
+        if mode == "nearest":
+            key = -key
+    elif mode == "score":
+        if scores is None:
+            raise ValueError("mode 'score' requires a score array")
+        key = np.asarray(scores)[cand]
+    else:
+        raise ValueError(f"unknown pairing mode {mode!r}")
+    none = np.iinfo(np.int64).max
+    key = np.where(usable, key, -np.inf)
+    best = key.max(axis=1, keepdims=True, initial=-np.inf)
+    winner = np.where(usable & (key == best), cand, none).min(axis=1, initial=none)
+    return Pairing(farthest=np.where(usable.any(axis=1), winner, anchor))

@@ -109,12 +109,13 @@ class TrainingAborted(RuntimeError):
     """A training step failed, usually on a non-finite loss. Carries where it
     happened and the last epochs' history rows for a diagnostic dump."""
 
-    def __init__(self, epoch: int, scene_id: str, last_rows: list[dict], reason: str):
-        super().__init__(f"non-finite loss at epoch {epoch}, scene {scene_id}: {reason}")
+    def __init__(self, epoch: int, scene_id: str, last_rows: list[dict], cause: ValueError):
+        what = "non-finite loss" if isinstance(cause, T.NonFiniteError) else "training step failed"
+        super().__init__(f"{what} at epoch {epoch}, scene {scene_id}: {cause}")
         self.epoch = epoch
         self.scene_id = scene_id
         self.last_rows = last_rows
-        self.reason = reason
+        self.reason = str(cause)
 
 
 def train_toy(
@@ -128,7 +129,7 @@ def train_toy(
     strategy depends only on geometry, since fixed positions plus a
     fixed seed reproduce them identically every epoch. Aggregation
     around the moving vote candidates is re-sampled every step. A
-    non-finite loss raises TrainingAborted.
+    failed step, such as one with a non-finite loss, raises TrainingAborted.
     """
     if not scenes:
         raise ValueError("training needs at least one scene")
@@ -169,12 +170,12 @@ def train_toy(
                     model_config,
                 )
                 if not np.isfinite(breakdown.total):
-                    raise ValueError(f"loss is {breakdown.total}")
+                    raise T.NonFiniteError(f"loss is {breakdown.total}")
                 opt.zero_grad()
                 total.backward()
                 opt.step(lr)
             except ValueError as err:
-                raise TrainingAborted(epoch, sid, history[-3:], str(err)) from err
+                raise TrainingAborted(epoch, sid, history[-3:], err) from err
             if cacheable and idx not in decision_cache:
                 decision_cache[idx] = out.decisions.stages
             for key, value in breakdown.as_dict().items():

@@ -25,6 +25,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 
+class NonFiniteError(ValueError):
+    """A value that must be finite (a tensor entry, a loss) is NaN or infinite."""
+
+
 class Tensor:
     """Dense 2-D float64 value paired with a same-shape gradient buffer."""
 
@@ -39,7 +43,7 @@ class Tensor:
         elif arr.ndim != 2:
             raise ValueError(f"tensor must be at most 2-D, got shape {arr.shape}")
         if arr.size and not np.isfinite(arr).all():
-            raise ValueError("non-finite values in tensor")
+            raise NonFiniteError("non-finite values in tensor")
         self.values = arr
         self._grad = None
         self._parents = tuple(parents)

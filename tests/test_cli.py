@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -295,6 +296,25 @@ class TestProbeBenchAblate:
         rows = out.read_text().strip().splitlines()[1:]
         values = [r.split(",")[1] for r in rows]
         assert values == ["0", "1/16", "1/8", "1/4", "1/2"]
+
+    def test_ablate_cells_use_config_model(self, tmp_path, trained_model, small_config_file):
+        # the config's model fits the 96-point scenes; the default one needs 512
+        data_dir, _ = trained_model
+        out = tmp_path / "ablation.csv"
+        code = run(
+            [
+                "ablate", "--data", data_dir, "--out", out, "--seed", 3,
+                "--epochs", 1, "--config", small_config_file,
+            ]
+        )
+        assert code == 0
+        with open(out, newline="") as fh:
+            cells = list(csv.DictReader(fh))
+        assert len(cells) == 14
+        assert [c["status"] for c in cells] == ["ok"] * 14, [c["detail"] for c in cells]
+        manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+        model = json.loads(Path(small_config_file).read_text())["model"]
+        assert manifest["config"]["model"]["stage_points"] == model["stage_points"]
 
 
 class TestGradcheckCommand:

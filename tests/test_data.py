@@ -183,6 +183,23 @@ class TestLabelIO:
         with pytest.raises(ValueError, match="non-positive size"):
             DT.read_labels(path)
 
+    @pytest.mark.parametrize(
+        "center,size",
+        [
+            ([0, 0], [1, 1, 1]),
+            ([0, 0, 0], [1, 1]),
+            ([0, float("nan"), 0], [1, 1, 1]),
+            ([0, 0, float("inf")], [1, 1, 1]),
+        ],
+        ids=["short-center", "short-size", "nan-center", "inf-center"],
+    )
+    def test_bad_box_names_file_and_label(self, tmp_path, center, size):
+        path = tmp_path / "bad.json"
+        good = {"class_id": 1, "center": [0, 0, 0], "size": [1, 1, 1], "yaw": 0}
+        path.write_text(json.dumps([good, {"class_id": 1, "center": center, "size": size, "yaw": 0}]))
+        with pytest.raises(ValueError, match=r"bad\.json: label 1 malformed"):
+            DT.read_labels(path)
+
     @settings(max_examples=50, deadline=None)
     @given(
         yaw=st.floats(min_value=-3.14159, max_value=3.14, allow_nan=False),

@@ -377,6 +377,34 @@ class TestNms:
                 for j in range(i + 1, len(got)):
                     assert D.iou3d(got[i].box, got[j].box) <= 0.3
 
+    @pytest.mark.parametrize("thr", [0.0, -0.1])
+    def test_far_apart_boxes_match_reference(self, thr, monkeypatch):
+        # clusters 20 m apart: pairs across clusters have IoU exactly 0
+        rng = np.random.default_rng(16)
+        dets = [
+            D.Detection(
+                box=D.Box3D(
+                    center=np.array([20.0 * (i % 3), 0.0, 0.0]) + rng.uniform(-1, 1, size=3),
+                    size=rng.uniform(0.5, 3.0, size=3),
+                    yaw=rng.uniform(-np.pi, np.pi),
+                ),
+                class_id=1,
+                score=float(rng.uniform(0, 1)),
+            )
+            for i in range(12)
+        ]
+        ref = nms_reference(dets, thr)
+        calls = []
+        iou3d = D.iou3d
+        monkeypatch.setattr(D, "iou3d", lambda a, b: calls.append(1) or iou3d(a, b))
+        got = D.nms3d(dets, thr)
+        assert [d.score for d in got] == [d.score for d in ref]
+        if thr >= 0:
+            assert len(ref) > 3  # every cluster keeps several boxes
+            assert len(calls) < len(ref) * (len(ref) - 1) // 2  # far pairs skipped
+        else:
+            assert len(ref) == 1  # IoU 0 exceeds a negative threshold
+
 
 class TestDetect:
     def test_untrained_contract(self):

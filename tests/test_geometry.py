@@ -180,42 +180,59 @@ class TestFarthestNeighborPairing:
         assert pairing.farthest.tolist() == [0, 1]
 
 
-class TestGrid:
-    def test_single_point_single_cell(self):
-        grid = G.build_grid(G.PointCloud(positions=[[0.2, 0.3, 0.4]]), cell=1.0)
-        assert len(grid.cells) == 1
-        assert sum(len(v) for v in grid.cells.values()) == 1
+def scan_rows(cloud, centers, radius):
+    """The radius scan's hits as one ascending index array per center."""
+    row, col, _ = G._radius_scan(cloud, np.asarray(centers, dtype=np.float64), radius, False)
+    return [col[row == i] for i in range(len(centers))]
 
-    def test_union_is_point_set(self):
+
+def naive_rows(cloud, centers, radius):
+    return [
+        np.flatnonzero(((cloud.positions - c) ** 2).sum(axis=1) <= radius * radius)
+        for c in np.asarray(centers, dtype=np.float64)
+    ]
+
+
+class TestRadiusScan:
+    def test_single_point(self):
+        # the radius is inclusive: a center exactly 1.0 away still finds it
+        cloud = G.PointCloud(positions=[[0.25, 0.5, 0.5]])
+        got = scan_rows(cloud, [[0.25, 0.5, 0.5], [0.25, 0.5, 1.5], [0.25, 0.5, 1.51]], 1.0)
+        assert [r.tolist() for r in got] == [[0], [0], []]
+
+    def test_radius_covering_cloud_returns_every_point(self):
         rng = np.random.default_rng(12)
         cloud = random_cloud(rng, 60)
-        grid = G.build_grid(cloud, cell=2.5)
-        all_indices = np.sort(np.concatenate(list(grid.cells.values())))
-        np.testing.assert_array_equal(all_indices, np.arange(60))
+        for row in scan_rows(cloud, cloud.positions[:5], 100.0):
+            np.testing.assert_array_equal(row, np.arange(60))
 
-    @pytest.mark.parametrize("radius,cell", [(0.8, 1.0), (3.0, 1.0)])
-    def test_query_equals_naive(self, radius, cell):
+    @pytest.mark.parametrize("radius", [0.8, 3.0])
+    def test_equals_naive(self, radius):
         rng = np.random.default_rng(13)
         cloud = random_cloud(rng, 80, extent=5.0)
-        grid = G.build_grid(cloud, cell=cell)
-        for center in cloud.positions[:20]:
-            got = grid.query(center, radius)
-            d2 = ((cloud.positions - center) ** 2).sum(axis=1)
-            expected = np.flatnonzero(d2 <= radius * radius)
+        centers = cloud.positions[:20]
+        for got, expected in zip(scan_rows(cloud, centers, radius), naive_rows(cloud, centers, radius)):
             np.testing.assert_array_equal(got, expected)
 
-    def test_hundred_random_cases_set_equal(self):
+    def test_hundred_random_cases_equal(self):
         rng = np.random.default_rng(14)
         for trial in range(100):
             n = int(rng.integers(1, 70))
             cloud = random_cloud(rng, n, extent=4.0)
             radius = float(rng.uniform(0.3, 5.0))
-            grid = G.build_grid(cloud, cell=radius)
-            center = rng.uniform(-4, 4, size=3)
-            got = set(grid.query(center, radius).tolist())
-            d2 = ((cloud.positions - center) ** 2).sum(axis=1)
-            expected = set(np.flatnonzero(d2 <= radius * radius).tolist())
-            assert got == expected
+            centers = rng.uniform(-4, 4, size=(int(rng.integers(1, 5)), 3))
+            for got, expected in zip(scan_rows(cloud, centers, radius), naive_rows(cloud, centers, radius)):
+                np.testing.assert_array_equal(got, expected)
+
+    def test_large_cloud_equals_naive(self):
+        # several blocks of centers, on a cloud the size of a default scene
+        rng = np.random.default_rng(16)
+        cloud = random_cloud(rng, 2048, extent=8.0)
+        centers = np.concatenate([cloud.positions[:40], rng.uniform(-8, 8, size=(8, 3))])
+        assert len(centers) * cloud.n > G._SCAN_PAIRS
+        for radius in (1.0, 4.0):
+            for got, expected in zip(scan_rows(cloud, centers, radius), naive_rows(cloud, centers, radius)):
+                np.testing.assert_array_equal(got, expected)
 
 
 class TestDeterminism:
@@ -231,20 +248,127 @@ class TestDeterminism:
         assert G.derive_seed(123, 4, 5) == G.derive_seed(123, 4, 5)
         assert G.derive_seed(123, 4, 5) != G.derive_seed(123, 4, 6)
 
-    def test_grid_path_matches_scan_path(self):
-        # same cloud queried through both in-radius implementations
-        rng = np.random.default_rng(16)
-        big = random_cloud(rng, G._GRID_MIN_POINTS + 16, extent=8.0)
-        small = G.PointCloud(positions=big.positions[:100])
-        table_small = G.ball_query(small, small.positions[:10], radius=2.0, k=6, seed=5)
-        grid = G.build_grid(small, cell=2.0)
-        for i in range(10):
-            expected = grid.query(small.positions[i], 2.0)
-            got = np.sort(table_small.indices[i][table_small.valid[i]])
-            assert set(got.tolist()) <= set(expected.tolist())
-
     def test_cloud_invariants(self):
         with pytest.raises(ValueError, match="at least one point"):
             G.PointCloud(positions=np.zeros((0, 3)))
         with pytest.raises(ValueError, match="rows"):
             G.PointCloud(positions=np.zeros((2, 3)), features=np.zeros((3, 1)))
+
+
+# ---------------------------------------------------------------------------
+# oracles: the former per-row kernels, kept as references the array code
+# must match exactly, including the seeded stream of rng.choice calls
+
+
+def reference_ball_query(cloud, centers, radius, k, seed, self_indices=None):
+    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+    m = centers.shape[0]
+    d2 = [((cloud.positions - center) ** 2).sum(axis=1) for center in centers]
+    if self_indices is None:
+        anchors = np.array([np.flatnonzero(row == 0.0)[0] for row in d2], dtype=np.int64)
+    else:
+        anchors = np.asarray(self_indices, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    indices = np.empty((m, k), dtype=np.int64)
+    valid = np.zeros((m, k), dtype=bool)
+    for i in range(m):
+        in_radius = np.flatnonzero(d2[i] <= radius * radius)
+        others = in_radius[in_radius != anchors[i]]
+        if others.size > k - 1:
+            others = rng.choice(others, size=k - 1, replace=False)
+        row = np.concatenate(([anchors[i]], others))
+        indices[i] = anchors[i]
+        indices[i, : row.size] = row
+        valid[i, : row.size] = True
+    return indices, valid
+
+
+def reference_pairing(positions, table, mode, scores=None):
+    out = np.empty(table.indices.shape[0], dtype=np.int64)
+    for i in range(out.size):
+        cand = table.indices[i][table.valid[i]][1:]
+        if cand.size == 0:
+            out[i] = table.indices[i, 0]
+            continue
+        if mode == "score":
+            key = scores[cand]
+        else:
+            key = ((positions[cand] - positions[table.indices[i, 0]]) ** 2).sum(axis=1)
+            if mode == "nearest":
+                key = -key
+        out[i] = cand[key == key.max()].min()
+    return out
+
+
+def oracle_cases(rng, sizes):
+    """Clouds on a half-meter lattice, so distances tie, points repeat and
+    some lie exactly on the radius; centers sit on cloud points or, for
+    explicit anchors, are jittered off them."""
+    for n in sizes:
+        pos = np.round(rng.uniform(-4.0, 4.0, size=(n, 3)) * 2.0) / 2.0
+        cloud = G.PointCloud(positions=pos)
+        sel = rng.choice(n, size=int(rng.integers(1, min(n, 300) + 1)))
+        radius = float(rng.choice([0.5, 1.0, 1.5, 2.5, 4.0]))
+        k = int(rng.integers(1, 24))
+        seed = int(rng.integers(1 << 31))
+        yield cloud, pos[sel], None, radius, k, seed
+        jitter = rng.normal(scale=0.3, size=(sel.size, 3))
+        yield cloud, pos[sel] + jitter, sel, radius, k, seed
+
+
+class TestOracles:
+    SIZES = [*range(2, 65, 3), 1100, 1500, 2048]
+
+    def test_ball_query_matches_reference(self):
+        rng = np.random.default_rng(17)
+        over_full = 0
+        for cloud, centers, anchors, radius, k, seed in oracle_cases(rng, self.SIZES):
+            table = G.ball_query(cloud, centers, radius=radius, k=k, seed=seed, self_indices=anchors)
+            indices, valid = reference_ball_query(cloud, centers, radius, k, seed, anchors)
+            np.testing.assert_array_equal(table.indices, indices)
+            np.testing.assert_array_equal(table.valid, valid)
+            over_full += int(valid.all(axis=1).sum())
+        assert over_full > 0  # the seeded subsampling ran
+
+    def test_pairing_matches_reference_with_ties(self):
+        rng = np.random.default_rng(18)
+        ties = 0
+        for cloud, centers, anchors, radius, k, seed in oracle_cases(rng, self.SIZES):
+            table = G.ball_query(cloud, centers, radius=radius, k=k, seed=seed, self_indices=anchors)
+            scores = rng.integers(0, 3, size=cloud.n).astype(np.float64)
+            for mode in ("farthest", "nearest", "score"):
+                got = G.pairing_from_table(cloud.positions, table, mode, scores=scores)
+                expected = reference_pairing(cloud.positions, table, mode, scores=scores)
+                np.testing.assert_array_equal(got.farthest, expected)
+            usable = table.valid[:, 1:]
+            key = np.where(usable, scores[table.indices[:, 1:]], -1.0)
+            shared = (key == key.max(axis=1, keepdims=True, initial=-1.0)) & usable
+            ties += int((shared.sum(axis=1) > 1).sum())
+        assert ties > 0  # rows whose best score is held by several candidates
+
+    def test_tie_goes_to_smallest_index_not_first_slot(self):
+        pos = np.array([[0.0, 0.0, 0.0], [9.0, 9.0, 9.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        table = G.NeighborTable(
+            indices=np.array([[0, 3, 2]]), valid=np.ones((1, 3), dtype=bool), radius=2.0
+        )
+        for mode in ("farthest", "nearest"):
+            assert G.pairing_from_table(pos, table, mode).farthest.tolist() == [2]
+        scores = np.array([0.0, 0.0, 5.0, 5.0])
+        assert G.pairing_from_table(pos, table, "score", scores=scores).farthest.tolist() == [2]
+
+    def test_dfps_matches_reference(self):
+        rng = np.random.default_rng(19)
+        for n in (2, 17, 64, 1100):
+            cloud = G.PointCloud(positions=np.round(rng.uniform(-3, 3, size=(n, 3))))
+            m = int(rng.integers(1, n + 1))
+            pos = cloud.positions
+            first = int(np.random.default_rng(n).integers(n))
+            expected = [first]
+            min_d2 = ((pos - pos[first]) ** 2).sum(axis=1)
+            min_d2[first] = -1.0
+            for _ in range(1, m):
+                nxt = int(np.argmax(min_d2))
+                expected.append(nxt)
+                np.minimum(min_d2, ((pos - pos[nxt]) ** 2).sum(axis=1), out=min_d2)
+                min_d2[nxt] = -1.0
+            assert G.dfps(cloud, m, seed=n).tolist() == expected

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,14 @@ class TestTrainToy:
         totals = [row["total"] for row in result.history]
         windows = [totals[i + 10] < totals[i] for i in range(len(totals) - 10)]
         assert np.mean(windows) >= 0.8
+
+    def test_failed_step_names_its_cause(self, tiny_scenes):
+        # a finite failure is not worded as a non-finite loss
+        config = dataclasses.replace(tiny_factory(), stage_points=(200, 8))
+        with pytest.raises(H.TrainingAborted) as caught:
+            H.train_toy(tiny_scenes, config, H.TrainConfig(epochs=1, peak_lr=0.005, seed=9))
+        assert str(caught.value).startswith("training step failed at epoch 0, scene scene_0000: ")
+        assert "insufficient points" in str(caught.value)
 
     def test_writes_checkpoint_and_csv(self, tiny_scenes, tmp_path):
         config = tiny_factory()
