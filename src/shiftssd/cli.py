@@ -4,9 +4,10 @@ Subcommands: `gen` (synthetic dataset), `train`, `detect`, `probe`,
 `bench`, `ablate`, and `gradcheck`. Every run requires --seed, resolves
 its configuration as flags over config file over built-in defaults, and
 writes a JSON manifest recording the resolved configuration, seed, git
-revision, output paths, and wall time. Exit codes: 0 success, 1 usage
-error, 2 runtime failure. The SHIFTSSD_LOG environment variable
-(error / info / debug) controls stderr verbosity.
+revision, machine facts (core count, Python and numpy versions), output
+paths, and wall time. Exit codes: 0 success, 1 usage error, 2 runtime
+failure. The SHIFTSSD_LOG environment variable (error / info / debug)
+controls stderr verbosity.
 """
 
 from __future__ import annotations
@@ -17,12 +18,15 @@ import dataclasses
 import json
 import logging
 import os
+import platform
 import subprocess
 import sys
 import time
 import types
 import typing
 from pathlib import Path
+
+import numpy as np
 
 from . import data as DT
 from . import detector as D
@@ -176,6 +180,9 @@ class ManifestWriter:
             "seed": seed,
             "config": resolved_config,
             "git": _git_describe(),
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
             "outputs": [],
             "status": "running",
         }
@@ -337,6 +344,7 @@ def cmd_probe(args) -> int:
                 seed=H.scene_seed(args.seed, idx),
             )
             violations = report.plain_containment_violations(scene.cloud.positions)
+            expanded = report.expanded()
             for c in range(report.cluster_positions.shape[0]):
                 rows.append(
                     [
@@ -345,7 +353,7 @@ def cmd_probe(args) -> int:
                         f"{report.radius_plain[c]:.6f}",
                         int(report.pairing[c]),
                         int(report.qualifying[c]),
-                        int(report.expanded()[c]),
+                        int(expanded[c]),
                         f"{report.composed_reach:.6f}",
                         violations,
                     ]

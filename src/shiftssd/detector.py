@@ -216,14 +216,13 @@ def backbone_forward(
     params: ModelParams,
     seed: int,
     frozen: list[S.SsaDecisions] | None = None,
-    positions_override: np.ndarray | None = None,
 ) -> tuple[list[S.ClusterFeatures], list[S.SsaDecisions]]:
     """Chain the SSA stages; stage t samples from stage t-1's clusters."""
     if cloud.n < config.stage_points[0]:
         raise ValueError(
             f"insufficient points: cloud has {cloud.n}, first stage needs {config.stage_points[0]}"
         )
-    positions = positions_override if positions_override is not None else cloud.positions
+    positions = cloud.positions
     features = T.Tensor(cloud.features)
     outputs: list[S.ClusterFeatures] = []
     decisions: list[S.SsaDecisions] = []
@@ -312,12 +311,10 @@ def model_forward(
     params: ModelParams,
     seed: int,
     frozen: DetectorDecisions | None = None,
-    positions_override: np.ndarray | None = None,
 ) -> ForwardOutput:
     stages, stage_decisions = backbone_forward(
         cloud, config, params, seed,
         frozen=frozen.stages if frozen is not None else None,
-        positions_override=positions_override,
     )
     final = stages[-1]
     candidates, offsets = vote_layer(final, params.vote)

@@ -9,7 +9,6 @@ so results are reproducible across runs and platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -17,17 +16,6 @@ import numpy as np
 # center-point pairs, so each float64 temporary stays near 256 KB and
 # in cache (measured fastest at 512 centers on 2048 points).
 _SCAN_PAIRS = 1 << 15
-
-
-class Point3(NamedTuple):
-    """A single 3D position in meters."""
-
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self, dtype=np.float64)
 
 
 @dataclass

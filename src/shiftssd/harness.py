@@ -283,6 +283,35 @@ def _strip_exchange(config: D.ModelConfig) -> D.ModelConfig:
     return replace(config, stage_ssa=stages)
 
 
+# Row budget of one batched probe replay: 16 copies of criterion 4's
+# 96-point scenes, 3-4x faster than one replay per coordinate for ~2 MB
+# more peak RSS, and one copy of a 2048-point cloud, as unbatched.
+_PROBE_ROWS = 1536
+
+
+def tile_decisions(decisions: list[S.SsaDecisions], n: int, copies: int) -> list[S.SsaDecisions]:
+    """Frozen decisions for `copies` copies of an n-point cloud stacked
+    row-wise, so one replay runs them as a disjoint union. Copy c's
+    indices into a stage's input shift by c times that input's row
+    count, and its pairing by c times the stage's own row count."""
+
+    def shift(idx: np.ndarray, rows: int) -> np.ndarray:
+        offsets = (np.arange(copies) * rows).reshape(-1, *([1] * idx.ndim))
+        return (idx + offsets).reshape(-1, *idx.shape[1:])
+
+    tiled = []
+    for d in decisions:
+        m = d.cluster_indices.shape[0]
+        tables = [
+            G.NeighborTable(shift(t.indices, n), np.tile(t.valid, (copies, 1)), t.radius)
+            for t in d.tables
+        ]
+        pairing = G.Pairing(farthest=shift(d.pairing.farthest, m))
+        tiled.append(S.SsaDecisions(shift(d.cluster_indices, n), tables, pairing))
+        n = m
+    return tiled
+
+
 def receptive_field_probe(
     model_config: D.ModelConfig,
     params: D.ModelParams,
@@ -293,36 +322,43 @@ def receptive_field_probe(
 ) -> ProbeReport:
     """Displace every input point by eps along each axis and replay the
     backbone with frozen sampling; a point is influential for a cluster
-    when any final-stage output channel moves by more than tol."""
+    when any final-stage output channel moves by more than tol.
+
+    Perturbed copies are replayed as one forward over their disjoint
+    union, `_PROBE_ROWS // n` copies (at least one) per chunk."""
     if eps < 0:
         raise ValueError("eps must be non-negative")
-    base_stages, decisions = D.backbone_forward(cloud, model_config, params, seed)
-    plain_config = _strip_exchange(model_config)
-
-    def final_values(config, positions):
-        stages, _ = D.backbone_forward(
-            cloud, config, params, seed, frozen=decisions, positions_override=positions
-        )
-        return stages[-1].aggregated.values
-
-    base_shift = final_values(model_config, cloud.positions)
-    base_plain = final_values(plain_config, cloud.positions)
-
-    m = base_shift.shape[0]
+    fresh, decisions = D.backbone_forward(cloud, model_config, params, seed)
+    cluster_positions = fresh[-1].positions
+    del fresh  # frees its autodiff graph before the batched replays
+    variants = (model_config, _strip_exchange(model_config))
     n = cloud.n
-    influential_shift = np.zeros((m, n), dtype=bool)
-    influential_plain = np.zeros((m, n), dtype=bool)
-    if eps > 0:
-        for p in range(n):
-            for axis in range(3):
-                perturbed = cloud.positions.copy()
-                perturbed[p, axis] += eps
-                diff_s = np.abs(final_values(model_config, perturbed) - base_shift).max(axis=1)
-                diff_p = np.abs(final_values(plain_config, perturbed) - base_plain).max(axis=1)
-                influential_shift[:, p] |= diff_s > tol
-                influential_plain[:, p] |= diff_p > tol
 
-    cluster_positions = base_stages[-1].positions
+    def final_values(config, positions, frozen):
+        """Final-stage features of each copy in a CxNx3 position stack."""
+        copies = positions.shape[0]
+        stacked = G.PointCloud(positions.reshape(-1, 3), np.tile(cloud.features, (copies, 1)))
+        stages, _ = D.backbone_forward(stacked, config, params, seed, frozen=frozen)
+        out = stages[-1].aggregated.values
+        return out.reshape(copies, -1, out.shape[1])
+
+    bases = [final_values(config, cloud.positions[None], decisions)[0] for config in variants]
+    m = bases[0].shape[0]
+    # moved[v, 3p + axis, i]: displacing point p along axis moves cluster i
+    moved = np.zeros((2, 3 * n, m), dtype=bool)
+    if eps > 0:
+        chunk = max(1, _PROBE_ROWS // n)
+        for start in range(0, 3 * n, chunk):
+            coords = np.arange(start, min(start + chunk, 3 * n))
+            positions = np.tile(cloud.positions, (len(coords), 1, 1))
+            positions[np.arange(len(coords)), coords // 3, coords % 3] += eps
+            frozen = tile_decisions(decisions, n, len(coords))
+            for v, config in enumerate(variants):
+                diff = np.abs(final_values(config, positions, frozen) - bases[v]).max(axis=2)
+                moved[v, coords] = diff > tol
+    influence = moved.reshape(2, n, 3, m).any(axis=2).transpose(0, 2, 1).copy()
+    influential_shift, influential_plain = influence
+
     dists = np.sqrt(G.pairwise_sq_dist(cluster_positions, cloud.positions))
     radius_shift = np.where(influential_shift, dists, 0.0).max(axis=1)
     radius_plain = np.where(influential_plain, dists, 0.0).max(axis=1)

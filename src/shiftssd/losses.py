@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .detector import Box3D, ModelConfig, RawPrediction, encode_angle, normalize_yaw
+from .detector import Box3D, ModelConfig, RawPrediction, bin_center, encode_angle, normalize_yaw
 
 # Loss weights: one lambda per top-level term, one delta per box sub-term.
 LAMBDA_OFFSET = 1.0
@@ -248,7 +248,7 @@ def box_loss(
     pred_bins = bin_logits.values.argmax(axis=1)
     pred_res = _select_bin_column(T.gather_rows(raw.bin_res, pos), pred_bins)
     centers_for_bins = np.array(
-        [[_bin_center_value(b, bins)] for b in pred_bins], dtype=np.float64
+        [[bin_center(b, bins)] for b in pred_bins], dtype=np.float64
     )
     pred_yaw = T.add(T.Tensor(centers_for_bins), T.scale(pred_res, np.pi / bins))
     pred_corners = _corners_in_graph(pred_center, pred_size, pred_yaw)
@@ -268,10 +268,6 @@ def box_loss(
     )
     corner = T.mean_all(T.min2(dist, dist_flip))
     return loc, size, angle, corner
-
-
-def _bin_center_value(bin_id: int, bins: int) -> float:
-    return normalize_yaw(bin_id * 2.0 * np.pi / bins)
 
 
 def total_loss(

@@ -1,7 +1,10 @@
 import csv
 import json
+import os
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,6 +140,9 @@ class TestGen:
         assert manifest["status"] == "ok"
         assert "wall_time_s" in manifest
         assert len(manifest["outputs"]) == 4
+        assert manifest["cpu_count"] == os.cpu_count()
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
 
     def test_byte_identical_rerun(self, tmp_path, small_config_file):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -293,9 +299,10 @@ class TestProbeBenchAblate:
             ]
         )
         assert code == 0
-        rows = out.read_text().strip().splitlines()[1:]
-        values = [r.split(",")[1] for r in rows]
-        assert values == ["0", "1/16", "1/8", "1/4", "1/2"]
+        with open(out, newline="") as fh:
+            cells = list(csv.DictReader(fh))
+        assert [c["value"] for c in cells] == ["0", "1/16", "1/8", "1/4", "1/2"]
+        assert [c["status"] for c in cells] == ["ok"] * 5, [c["detail"] for c in cells]
 
     def test_ablate_cells_use_config_model(self, tmp_path, trained_model, small_config_file):
         # the config's model fits the 96-point scenes; the default one needs 512

@@ -5,11 +5,13 @@ import pytest
 
 from shiftssd import data as DT
 from shiftssd import detector as D
+from shiftssd import geometry as G
 from shiftssd import harness as H
 from shiftssd import losses as L
 from shiftssd import ssa as S
 from shiftssd import tensor as T
 from shiftssd.geometry import PointCloud
+from test_acceptance import _probe_model
 
 
 def tiny_synth():
@@ -215,6 +217,91 @@ def two_clique_cloud():
     return PointCloud(positions=positions, features=feats)
 
 
+def probe_oracle(config, params, cloud, eps, tol, seed) -> H.ProbeReport:
+    """The probe as one frozen replay per perturbed coordinate, each on its
+    own perturbed PointCloud: the reference the batched probe must equal."""
+    base_stages, decisions = D.backbone_forward(cloud, config, params, seed)
+    plain_config = H._strip_exchange(config)
+
+    def final_values(cfg, positions):
+        moved = PointCloud(positions=positions, features=cloud.features)
+        stages, _ = D.backbone_forward(moved, cfg, params, seed, frozen=decisions)
+        return stages[-1].aggregated.values
+
+    base_shift = final_values(config, cloud.positions)
+    base_plain = final_values(plain_config, cloud.positions)
+    m, n = base_shift.shape[0], cloud.n
+    influential_shift = np.zeros((m, n), dtype=bool)
+    influential_plain = np.zeros((m, n), dtype=bool)
+    if eps > 0:
+        for p in range(n):
+            for axis in range(3):
+                perturbed = cloud.positions.copy()
+                perturbed[p, axis] += eps
+                diff_s = np.abs(final_values(config, perturbed) - base_shift).max(axis=1)
+                diff_p = np.abs(final_values(plain_config, perturbed) - base_plain).max(axis=1)
+                influential_shift[:, p] |= diff_s > tol
+                influential_plain[:, p] |= diff_p > tol
+
+    cluster_positions = base_stages[-1].positions
+    dists = np.sqrt(G.pairwise_sq_dist(cluster_positions, cloud.positions))
+    radius_shift = np.where(influential_shift, dists, 0.0).max(axis=1)
+    radius_plain = np.where(influential_plain, dists, 0.0).max(axis=1)
+    pairing = decisions[-1].pairing.farthest
+    qualifying = np.zeros(m, dtype=bool)
+    for i in range(m):
+        j = pairing[i]
+        if j == i:
+            continue
+        partner_pts = influential_plain[j]
+        if partner_pts.any() and dists[i, partner_pts].max() > radius_plain[i] + 1e-12:
+            qualifying[i] = True
+    return H.ProbeReport(
+        cluster_positions=cluster_positions,
+        radius_shift=radius_shift,
+        radius_plain=radius_plain,
+        influential_shift=influential_shift,
+        influential_plain=influential_plain,
+        composed_reach=float(sum(max(s.radius for s in c.scales) for c in config.stage_ssa)),
+        pairing=pairing,
+        qualifying=qualifying,
+    )
+
+
+def assert_reports_equal(batched: H.ProbeReport, oracle: H.ProbeReport):
+    # every field is derived from the boolean influence matrices, so all
+    # compare exactly; raw output diffs, which a batched matmul may round
+    # differently in the last bit, are never compared
+    for f in dataclasses.fields(H.ProbeReport):
+        a, b = getattr(batched, f.name), getattr(oracle, f.name)
+        assert np.asarray(a).dtype == np.asarray(b).dtype, f.name
+        np.testing.assert_array_equal(a, b, err_msg=f.name)
+
+
+def criterion4_synth(points=96):
+    return DT.SynthConfig(
+        extent=10.0,
+        points_per_scene=points,
+        noise_points=40,
+        objects_min=1,
+        objects_max=2,
+        classes=[
+            DT.ClassSpec("crate", (2.0, 1.2, 1.0), (0.2, 0.1, 0.1)),
+            DT.ClassSpec("post", (0.8, 0.8, 1.6), (0.05, 0.05, 0.1)),
+        ],
+    )
+
+
+@pytest.fixture(scope="module")
+def criterion4_model():
+    config = _probe_model()
+    return config, D.init_model_params(config, seed=3)
+
+
+# criterion 4's 20 scenes, then 10 fresh ones
+PROBE_SCENES = [(4, i) for i in range(20)] + [(7, i) for i in range(10)]
+
+
 class TestProbe:
     def test_eps_zero_no_influence(self):
         config, params = probe_model()
@@ -226,6 +313,7 @@ class TestProbe:
         config, params = probe_model()
         cloud = two_clique_cloud()
         report = H.receptive_field_probe(config, params, cloud, eps=1e-3, tol=1e-9, seed=13)
+        assert_reports_equal(report, probe_oracle(config, params, cloud, 1e-3, 1e-9, 13))
         assert report.plain_containment_violations(cloud.positions) == 0
         # both clusters pair across the cliques, so both qualify
         assert report.qualifying.any()
@@ -237,6 +325,76 @@ class TestProbe:
         config, params = probe_model()
         with pytest.raises(ValueError):
             H.receptive_field_probe(config, params, two_clique_cloud(), eps=-1.0, tol=1e-9, seed=0)
+
+    @pytest.mark.parametrize("base, i", PROBE_SCENES, ids=[f"seed{b}-{i}" for b, i in PROBE_SCENES])
+    def test_equals_per_replay_oracle(self, criterion4_model, base, i):
+        config, params = criterion4_model
+        cloud = DT.generate_scene(criterion4_synth(), seed=G.derive_seed(base, 60, i)).cloud
+        seed = G.derive_seed(base, 61, i)
+        report = H.receptive_field_probe(config, params, cloud, eps=1e-3, tol=1e-9, seed=seed)
+        assert_reports_equal(report, probe_oracle(config, params, cloud, 1e-3, 1e-9, seed))
+
+    @pytest.mark.parametrize(
+        "points, eps, rows",
+        [
+            (95, 1e-3, H._PROBE_ROWS),  # 285 coordinates in chunks of 16: the last holds 13
+            (96, 0.0, H._PROBE_ROWS),
+            (96, 1e-3, 1),  # one copy per chunk, as on a cloud of _PROBE_ROWS points or more
+        ],
+    )
+    def test_chunking_equals_oracle(self, criterion4_model, monkeypatch, points, eps, rows):
+        config, params = criterion4_model
+        cloud = DT.generate_scene(criterion4_synth(points), seed=G.derive_seed(9, 60, points)).cloud
+        assert cloud.n == points
+        monkeypatch.setattr(H, "_PROBE_ROWS", rows)
+        report = H.receptive_field_probe(config, params, cloud, eps=eps, tol=1e-9, seed=5)
+        assert_reports_equal(report, probe_oracle(config, params, cloud, eps, 1e-9, 5))
+
+
+class TestTileDecisions:
+    @pytest.mark.parametrize("copies", [1, 3, 16])
+    def test_tiled_replay_equals_single_replays(self, criterion4_model, copies):
+        config, params = criterion4_model
+        cloud = DT.generate_scene(criterion4_synth(), seed=G.derive_seed(4, 60, 0)).cloud
+        _, decisions = D.backbone_forward(cloud, config, params, seed=21)
+        jitter = np.random.default_rng(copies).normal(scale=0.05, size=(copies, cloud.n, 3))
+        clouds = [PointCloud(positions=cloud.positions + j, features=cloud.features) for j in jitter]
+        singles = [D.backbone_forward(c, config, params, seed=21, frozen=decisions)[0] for c in clouds]
+        stacked = PointCloud(
+            positions=np.concatenate([c.positions for c in clouds]),
+            features=np.tile(cloud.features, (copies, 1)),
+        )
+        tiled = H.tile_decisions(decisions, cloud.n, copies)
+        union, _ = D.backbone_forward(stacked, config, params, seed=21, frozen=tiled)
+        for t, many in enumerate(union):
+            ones = [stages[t] for stages in singles]
+            assert many.positions.tobytes() == np.concatenate([o.positions for o in ones]).tobytes()
+            # OpenBLAS picks its kernel by matrix size, and its small-matrix
+            # kernel rounds differently, so a stacked row may differ from its
+            # single replay in the last bits
+            for a, b in zip(many.per_scale + [many.aggregated], zip(*[o.per_scale + [o.aggregated] for o in ones])):
+                expected = np.concatenate([x.values for x in b])
+                np.testing.assert_allclose(a.values, expected, rtol=1e-12, atol=1e-12)
+
+    def test_offsets_per_copy(self):
+        table = G.NeighborTable(
+            indices=np.array([[0, 2], [3, 3]]), valid=np.array([[True, True], [True, False]]), radius=1.5
+        )
+        decisions = [
+            S.SsaDecisions(np.array([0, 3]), [table], G.Pairing(np.array([1, 1]))),
+            S.SsaDecisions(np.array([1]), [G.NeighborTable(np.array([[1, 0]]), np.ones((1, 2), bool), 2.0)],
+                           G.Pairing(np.array([0]))),
+        ]
+        first, second = H.tile_decisions(decisions, n=5, copies=3)
+        np.testing.assert_array_equal(first.cluster_indices, [0, 3, 5, 8, 10, 13])
+        np.testing.assert_array_equal(first.tables[0].indices, [[0, 2], [3, 3], [5, 7], [8, 8], [10, 12], [13, 13]])
+        np.testing.assert_array_equal(first.tables[0].valid, np.tile(table.valid, (3, 1)))
+        assert first.tables[0].radius == 1.5
+        np.testing.assert_array_equal(first.pairing.farthest, [1, 1, 3, 3, 5, 5])
+        # stage 1 indexes stage 0's two clusters per copy and pairs within its own one
+        np.testing.assert_array_equal(second.cluster_indices, [1, 3, 5])
+        np.testing.assert_array_equal(second.tables[0].indices, [[1, 0], [3, 2], [5, 4]])
+        np.testing.assert_array_equal(second.pairing.farthest, [0, 1, 2])
 
 
 class TestBench:
