@@ -2,18 +2,17 @@
 
 Subcommands: `gen` (synthetic dataset), `train`, `detect`, `probe`,
 `bench`, `ablate`, and `gradcheck`. Every run requires --seed, resolves
-its configuration as flags over config file over built-in defaults, and
-writes a JSON manifest recording the resolved configuration, seed, git
-revision, machine facts (core count, Python and numpy versions), output
-paths, and wall time. Exit codes: 0 success, 1 usage error, 2 runtime
-failure. The SHIFTSSD_LOG environment variable (error / info / debug)
-controls stderr verbosity.
+its configuration as flags over config file over built-in defaults, each
+validated by its config dataclass, and writes a JSON manifest recording
+the resolved configuration, seed, git revision, machine facts (core
+count, Python and numpy versions), output paths, and wall time. Exit
+codes: 0 success, 1 usage error, 2 runtime failure. The SHIFTSSD_LOG
+environment variable (error / info / debug) controls stderr verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
@@ -133,8 +132,36 @@ def _load_config_file(path: str | None) -> tuple[D.ModelConfig | None, DT.SynthC
     return model, synth, train
 
 
-def anchors_from_synth(synth: DT.SynthConfig) -> list[tuple[float, float, float]]:
-    return [tuple(spec.mean_size) for spec in synth.classes]
+def _override(config, args, fields: dict[str, str]):
+    """A copy of config with each flag in fields ({dest: field name}) that
+    was given replacing its field. The dataclass validates the result as it
+    does a --config value; a rejected value is a UsageError naming the flags
+    that fail on their own (or, if none does, every given flag)."""
+    given = {dest: getattr(args, dest, None) for dest in fields}
+    given = {dest: value for dest, value in given.items() if value is not None}
+    try:
+        return dataclasses.replace(config, **{fields[d]: v for d, v in given.items()})
+    except ValueError as err:
+        def rejects(dest):
+            try:
+                dataclasses.replace(config, **{fields[dest]: given[dest]})
+            except ValueError:
+                return True
+            return False
+
+        blamed = [d for d in given if rejects(d)] or list(given)
+        flags = ", ".join("--" + d.replace("_", "-") for d in blamed)
+        raise UsageError(f"{flags}: {err}") from err
+
+
+def _train_setup(args) -> tuple[D.ModelConfig, H.TrainConfig]:
+    """The --config model, or the default model anchored at the synth class
+    mean sizes, and the --config TrainConfig under --seed/--epochs/--lr."""
+    model, synth, train = _load_config_file(args.config)
+    if model is None:
+        anchors = [tuple(spec.mean_size) for spec in synth.classes]
+        model = D.default_model_config(num_classes=len(anchors), anchors=anchors)
+    return model, _override(train, args, {"seed": "seed", "epochs": "epochs", "lr": "peak_lr"})
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +193,7 @@ def _atomic_write(path, write) -> None:
 
 
 def _write_json(path, payload: dict) -> None:
-    _atomic_write(path, lambda tmp: tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n"))
+    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 class ManifestWriter:
@@ -188,7 +215,9 @@ class ManifestWriter:
         }
         self._start = time.perf_counter()
 
-    def add_output(self, path) -> None:
+    def write(self, path, write) -> None:
+        """Write path atomically through write(tmp), then list it as an output."""
+        _atomic_write(path, write)
         self.record["outputs"].append(str(path))
 
     def finish(self, status: str, error: str | None = None) -> None:
@@ -196,17 +225,24 @@ class ManifestWriter:
         if error:
             self.record["error"] = error
         self.record["wall_time_s"] = round(time.perf_counter() - self._start, 6)
-        _write_json(self.path, self.record)
+        _atomic_write(self.path, lambda tmp: _write_json(tmp, self.record))
 
 
-def _run_with_manifest(subcommand, seed, resolved, manifest_path, body) -> None:
-    writer = ManifestWriter(subcommand, seed, resolved, manifest_path)
+def _run_with_manifest(args, resolved, body, manifest_path=None):
+    """Run body(writer) under a manifest of args.subcommand and args.seed,
+    written to manifest_path (default <args.out>.manifest.json) on success
+    or failure; return what body returns."""
+    if manifest_path is None:
+        out = Path(args.out)
+        manifest_path = out.with_name(out.name + ".manifest.json")
+    writer = ManifestWriter(args.subcommand, args.seed, resolved, manifest_path)
     try:
-        body(writer)
+        result = body(writer)
     except Exception as err:
         writer.finish("failed", error=str(err))
         raise
     writer.finish("ok")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +251,10 @@ def _run_with_manifest(subcommand, seed, resolved, manifest_path, body) -> None:
 
 def cmd_gen(args) -> int:
     _, synth, _ = _load_config_file(args.config)
-    for flag, attr in (
-        ("points", "points_per_scene"),
-        ("noise", "noise_points"),
-        ("extent", "extent"),
-        ("objects_min", "objects_min"),
-        ("objects_max", "objects_max"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            setattr(synth, attr, value)
-    synth.__post_init__()
+    synth = _override(synth, args, {
+        "points": "points_per_scene", "noise": "noise_points", "extent": "extent",
+        "objects_min": "objects_min", "objects_max": "objects_max",
+    })
     out_dir = Path(args.out)
     resolved = {"synth": config_to_dict(synth), "scenes": args.scenes}
 
@@ -233,51 +262,34 @@ def cmd_gen(args) -> int:
         for i in range(args.scenes):
             sid = f"scene_{i:04d}"
             scene = DT.generate_scene(synth, seed=G.derive_seed(args.seed, 50, i))
-            _atomic_write(out_dir / f"{sid}.bin", lambda tmp: DT.write_cloud(tmp, scene.cloud))
-            _atomic_write(out_dir / f"{sid}.json", lambda tmp: DT.write_labels(tmp, scene.objects))
-            writer.add_output(out_dir / f"{sid}.bin")
-            writer.add_output(out_dir / f"{sid}.json")
+            writer.write(out_dir / f"{sid}.bin", lambda tmp: DT.write_cloud(tmp, scene.cloud))
+            writer.write(out_dir / f"{sid}.json", lambda tmp: DT.write_labels(tmp, scene.objects))
         log.info("wrote %d scenes to %s", args.scenes, out_dir)
 
-    _run_with_manifest("gen", args.seed, resolved, out_dir / "manifest.json", body)
+    _run_with_manifest(args, resolved, body, out_dir / "manifest.json")
     return 0
 
 
 def cmd_train(args) -> int:
-    model, synth, train = _load_config_file(args.config)
+    model, train = _train_setup(args)
     scenes = DT.dataset(args.data)
-    if model is None:
-        # anchors default to the class mean sizes of the generator config
-        anchors = anchors_from_synth(synth)
-        model = D.default_model_config(num_classes=len(anchors), anchors=anchors)
-    train.seed = args.seed
-    if args.epochs is not None:
-        train.epochs = args.epochs
-    if args.lr is not None:
-        train.peak_lr = args.lr
-
     out_dir = Path(args.out)
-    ckpt = out_dir / "model.ckpt"
-    loss_csv = out_dir / "loss.csv"
     resolved = {"model": config_to_dict(model), "train": config_to_dict(train)}
 
     def body(writer):
-        out_dir.mkdir(parents=True, exist_ok=True)
         try:
             result = H.train_toy(scenes, model, train)
         except H.TrainingAborted as err:
             dump = out_dir / "model.ckpt.failure.json"
-            _write_json(dump, {
+            writer.write(dump, lambda tmp: _write_json(tmp, {
                 "reason": err.reason, "epoch": err.epoch,
                 "scene_id": err.scene_id, "last_rows": err.last_rows,
-            })
+            }))
             log.error("training aborted; diagnostics in %s", dump)
             raise
         meta = {"model_config": resolved["model"], "train_config": resolved["train"]}
-        _atomic_write(ckpt, lambda tmp: T.save_checkpoint(tmp, result.params.named(), meta=meta))
-        _atomic_write(loss_csv, lambda tmp: H.write_history_csv(tmp, result.history))
-        writer.add_output(ckpt)
-        writer.add_output(loss_csv)
+        writer.write(out_dir / "model.ckpt", lambda tmp: T.save_checkpoint(tmp, result.params.named(), meta=meta))
+        writer.write(out_dir / "loss.csv", lambda tmp: H.write_history_csv(tmp, result.history))
         ratio = result.final_loss / max(result.first_epoch_loss, 1e-12)
         print(
             f"trained {train.epochs} epochs on {len(scenes)} scenes: "
@@ -285,7 +297,7 @@ def cmd_train(args) -> int:
             f"(x{ratio:.3f})"
         )
 
-    _run_with_manifest("train", args.seed, resolved, out_dir / "manifest.json", body)
+    _run_with_manifest(args, resolved, body, out_dir / "manifest.json")
     return 0
 
 
@@ -301,10 +313,7 @@ def _load_model(path) -> tuple[D.ModelConfig, D.ModelParams]:
 
 def cmd_detect(args) -> int:
     config, params = _load_model(args.model)
-    if args.score_threshold is not None:
-        config.score_threshold = args.score_threshold
-    if args.nms_iou is not None:
-        config.nms_iou = args.nms_iou
+    config = _override(config, args, {"score_threshold": "score_threshold", "nms_iou": "nms_iou"})
     cloud = DT.read_cloud(args.input)
     out_path = Path(args.out)
     resolved = {"model": config_to_dict(config)}
@@ -312,14 +321,10 @@ def cmd_detect(args) -> int:
     def body(writer):
         dets = D.detect(cloud, config, params, args.seed)
         scene_id = Path(args.input).stem
-        _atomic_write(out_path, lambda tmp: DT.write_detections(tmp, scene_id, dets))
-        writer.add_output(out_path)
+        writer.write(out_path, lambda tmp: DT.write_detections(tmp, scene_id, dets))
         print(f"{len(dets)} detections -> {out_path}")
 
-    _run_with_manifest(
-        "detect", args.seed, resolved,
-        out_path.with_name(out_path.name + ".manifest.json"), body,
-    )
+    _run_with_manifest(args, resolved, body)
     return 0
 
 
@@ -359,27 +364,14 @@ def cmd_probe(args) -> int:
                     ]
                 )
             log.info("probe %s: %s", sid, report.summary())
-
-        def write(tmp):
-            with open(tmp, "w", newline="") as fh:
-                writer_csv = csv.writer(fh)
-                writer_csv.writerow(
-                    [
-                        "scene_id", "cluster", "radius_shift", "radius_plain",
-                        "pairing", "qualifying", "expanded", "composed_reach",
-                        "plain_violations",
-                    ]
-                )
-                writer_csv.writerows(rows)
-
-        _atomic_write(out_path, write)
-        writer.add_output(out_path)
+        header = [
+            "scene_id", "cluster", "radius_shift", "radius_plain", "pairing",
+            "qualifying", "expanded", "composed_reach", "plain_violations",
+        ]
+        writer.write(out_path, lambda tmp: H.write_csv(tmp, header, rows))
         print(f"probed {len(scenes)} scenes -> {out_path}")
 
-    _run_with_manifest(
-        "probe", args.seed, resolved,
-        out_path.with_name(out_path.name + ".manifest.json"), body,
-    )
+    _run_with_manifest(args, resolved, body)
     return 0
 
 
@@ -398,31 +390,22 @@ def cmd_bench(args) -> int:
             ("none", none_cfg, D.init_model_params(none_cfg, seed=args.seed)),
         ]
         report = H.latency_bench(variants, clouds, repetitions=args.reps, seed=args.seed)
-        _atomic_write(out_path, lambda tmp: H.write_bench_csv(tmp, report))
-        writer.add_output(out_path)
+        writer.write(out_path, lambda tmp: H.write_bench_csv(tmp, report))
         for row in report.rows:
             print(
                 f"{row.name}: median {row.median_ms:.2f} ms, "
                 f"mean {row.mean_ms:.2f} ms, {row.param_count} params"
             )
 
-    _run_with_manifest(
-        "bench", args.seed, resolved,
-        out_path.with_name(out_path.name + ".manifest.json"), body,
-    )
+    _run_with_manifest(args, resolved, body)
     return 0
 
 
 def cmd_ablate(args) -> int:
-    model, synth, train = _load_config_file(args.config)
+    base, train = _train_setup(args)
     scenes = DT.dataset(args.data)
-    train.seed = args.seed
-    if args.epochs is not None:
-        train.epochs = args.epochs
     axes = None if args.axis == "all" else [args.axis]
     out_path = Path(args.out)
-    anchors = anchors_from_synth(synth)
-    base = model if model is not None else D.default_model_config(len(anchors), anchors)
 
     def factory(ratio, selection, exchange):
         stages = [
@@ -431,40 +414,35 @@ def cmd_ablate(args) -> int:
         ]
         return dataclasses.replace(base, stage_ssa=stages)
 
-    resolved = {"train": config_to_dict(train), "axes": axes or ["ratio", "selection", "exchange"]}
-    if model is not None:
-        resolved["model"] = config_to_dict(model)
+    resolved = {
+        "model": config_to_dict(base),
+        "train": config_to_dict(train),
+        "axes": axes or ["ratio", "selection", "exchange"],
+    }
 
     def body(writer):
         report = H.run_ablation(scenes, factory, train, axes=axes)
-        _atomic_write(out_path, lambda tmp: H.write_ablation_csv(tmp, report))
-        writer.add_output(out_path)
+        writer.write(out_path, lambda tmp: H.write_ablation_csv(tmp, report))
         for cell in report.cells:
             metric = f"recall {cell.recall:.3f} loss {cell.mean_loss:.4f}" if cell.status == "ok" else cell.detail
             print(f"{cell.axis}={cell.value}: {cell.status} {metric}")
 
-    _run_with_manifest(
-        "ablate", args.seed, resolved,
-        out_path.with_name(out_path.name + ".manifest.json"), body,
-    )
+    _run_with_manifest(args, resolved, body)
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    resolved = {"eps": args.eps, "tol": args.tol}
-    worst_holder = {}
-
     def body(writer):
         errors = H.gradcheck_suite(args.seed, eps=args.eps)
         for name, err in errors.items():
             print(f"{name}: {err:.3e}")
         worst = max(errors.values())
-        worst_holder["worst"] = worst
         print(f"worst relative error: {worst:.3e} (tolerance {args.tol:.1e})")
+        return worst
 
-    manifest_path = Path(args.manifest) if args.manifest else Path("gradcheck.manifest.json")
-    _run_with_manifest("gradcheck", args.seed, resolved, manifest_path, body)
-    if worst_holder["worst"] >= args.tol:
+    resolved = {"eps": args.eps, "tol": args.tol}
+    worst = _run_with_manifest(args, resolved, body, Path(args.manifest or "gradcheck.manifest.json"))
+    if worst >= args.tol:
         print("gradcheck FAILED", file=sys.stderr)
         return 2
     return 0
@@ -472,6 +450,13 @@ def cmd_gradcheck(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> _Parser:
@@ -484,7 +469,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     add_common(p)
-    p.add_argument("--scenes", type=int, required=True)
+    p.add_argument("--scenes", type=_positive_int, required=True)
     p.add_argument("--out", type=str, required=True)
     p.add_argument("--points", type=int, default=None)
     p.add_argument("--noise", type=int, default=None)
@@ -517,7 +502,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", type=str, required=True)
     p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--scenes", type=int, default=None)
+    p.add_argument("--scenes", type=_positive_int, default=None)
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("bench", help="forward latency and parameter counts")

@@ -266,21 +266,14 @@ def read_detections(path) -> list[tuple[str, Detection]]:
 # datasets: paired <id>.bin / <id>.json files in one directory
 
 
-def write_scene(directory, scene_id: str, scene: Scene) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    write_cloud(directory / f"{scene_id}.bin", scene.cloud)
-    write_labels(directory / f"{scene_id}.json", scene.objects)
-
-
-def dataset(directory, split: str = "") -> list[tuple[Scene, str]]:
+def dataset(directory) -> list[tuple[Scene, str]]:
     """Load every paired scene, in lexicographic id order.
 
-    `split` selects an optional subdirectory. A .bin without its .json
-    (or the reverse) is an error naming the orphan. Run manifests
-    (manifest.json) are not scene files and are skipped.
+    A .bin without its .json (or the reverse) is an error naming the
+    orphan. Run manifests (manifest.json) are not scene files and are
+    skipped.
     """
-    root = Path(directory) / split if split else Path(directory)
+    root = Path(directory)
     if not root.is_dir():
         raise FileNotFoundError(f"dataset directory {root} does not exist")
     bins = {p.stem for p in root.glob("*.bin")}

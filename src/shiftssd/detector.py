@@ -86,6 +86,8 @@ class ModelConfig:
             raise ValueError("need at least 2 angle bins")
         if self.num_classes < 1 or len(self.anchors) != self.num_classes:
             raise ValueError("one anchor size per foreground class required")
+        if not (np.isfinite(self.score_threshold) and np.isfinite(self.nms_iou)):
+            raise ValueError("score_threshold and nms_iou must be finite")
 
     @property
     def final_channels(self) -> int:

@@ -46,8 +46,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.peak_lr < 0:
-            raise ValueError("peak learning rate must be non-negative")
+        if not (np.isfinite(self.peak_lr) and self.peak_lr >= 0):
+            raise ValueError("peak_lr must be finite and non-negative")
+        if not 0 < self.warmup_frac < 1:
+            raise ValueError("warmup_frac must lie in (0, 1)")
 
 
 class Adam:
@@ -195,13 +197,16 @@ def train_toy(
     )
 
 
+def write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_history_csv(path, history: list[dict]) -> None:
     fields = ["epoch", "offset", "cls", "loc", "size", "angle", "corner", "total", "lr"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in history:
-            writer.writerow({k: row[k] for k in fields})
+    write_csv(path, fields, [[row[k] for k in fields] for row in history])
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +455,8 @@ def shift_mlp_param_count(config: D.ModelConfig) -> int:
 
 
 def write_bench_csv(path, report: BenchReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "mean_ms", "median_ms", "param_count", "repetitions"])
-        for row in report.rows:
-            writer.writerow([row.name, f"{row.mean_ms:.4f}", f"{row.median_ms:.4f}", row.param_count, report.repetitions])
+    rows = [[r.name, f"{r.mean_ms:.4f}", f"{r.median_ms:.4f}", r.param_count, report.repetitions] for r in report.rows]
+    write_csv(path, ["variant", "mean_ms", "median_ms", "param_count", "repetitions"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -667,17 +669,8 @@ def gradcheck_detector(seed: int, eps: float = 1e-5) -> float:
 
 
 def write_ablation_csv(path, report: AblationReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis", "value", "recall_iou50", "mean_loss", "status", "detail"])
-        for c in report.cells:
-            writer.writerow(
-                [
-                    c.axis,
-                    c.value,
-                    "" if c.recall is None else f"{c.recall:.6f}",
-                    "" if c.mean_loss is None else f"{c.mean_loss:.6f}",
-                    c.status,
-                    c.detail,
-                ]
-            )
+    def fixed(x):
+        return "" if x is None else f"{x:.6f}"
+
+    rows = [[c.axis, c.value, fixed(c.recall), fixed(c.mean_loss), c.status, c.detail] for c in report.cells]
+    write_csv(path, ["axis", "value", "recall_iou50", "mean_loss", "status", "detail"], rows)

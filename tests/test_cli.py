@@ -105,8 +105,14 @@ class TestUsage:
             (lambda c: c["train"].update(epoch=3), "train.epoch: unknown key"),
             (lambda c: c["synth"]["classes"][0].update(mean_size=[1.0, 2.0]), "synth.classes[0].mean_size"),
             (lambda c: c.update(trian={}), "trian: unknown key"),
+            (lambda c: c["train"].update(warmup_frac=0), "train: warmup_frac"),
+            (lambda c: c["train"].update(peak_lr=float("nan")), "train: peak_lr"),
+            (lambda c: c["model"].update(score_threshold=float("nan")), "model: score_threshold"),
         ],
-        ids=["rejected_value", "wrong_type", "empty_scales", "unknown_key", "tuple_length", "unknown_section"],
+        ids=[
+            "rejected_value", "wrong_type", "empty_scales", "unknown_key", "tuple_length", "unknown_section",
+            "zero_warmup", "nan_lr", "nan_score_threshold",
+        ],
     )
     def test_malformed_config_exits_1(self, tmp_path, small_config_file, capsys, edit, where):
         config = json.loads(Path(small_config_file).read_text())
@@ -119,6 +125,32 @@ class TestUsage:
         assert where in err
         assert "Traceback" not in err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["train", "--data", "{data}", "--epochs", 0], "--epochs"),
+            (["train", "--data", "{data}", "--lr", -0.5], "--lr"),
+            (["train", "--data", "{data}", "--lr", "nan"], "--lr"),
+            (["ablate", "--data", "{data}", "--epochs", 0], "--epochs"),
+            (["gen", "--scenes", 1, "--points", 10], "--points"),
+            (["gen", "--scenes", 0], "--scenes"),
+            (["probe", "--model", "{ckpt}", "--data", "{data}", "--scenes", -1], "--scenes"),
+            (["detect", "--model", "{ckpt}", "--in", "{scene}", "--score-threshold", "nan"], "--score-threshold"),
+        ],
+        ids=["train_epochs_0", "train_lr_negative", "train_lr_nan", "ablate_epochs_0",
+             "gen_points_10", "gen_scenes_0", "probe_scenes_negative", "detect_score_threshold_nan"],
+    )
+    def test_rejected_flag_exits_1(self, tmp_path, trained_model, capsys, argv, flag):
+        data_dir, ckpt = trained_model
+        paths = {"data": data_dir, "ckpt": ckpt, "scene": data_dir / "scene_0000.bin"}
+        fresh = tmp_path / "fresh"
+        argv = [str(a).format(**paths) for a in argv] + ["--out", fresh / "out", "--seed", 1]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert flag in err and "--seed" not in err and "Traceback" not in err
+        assert not fresh.exists()  # neither an output nor a manifest
 
 
 class TestGen:
@@ -222,7 +254,9 @@ class TestTrainDetect:
         dump = json.loads((run_dir / "model.ckpt.failure.json").read_text())
         assert dump["epoch"] == 0 and dump["scene_id"].startswith("scene_")
         assert not (run_dir / "model.ckpt").exists()
-        assert json.loads((run_dir / "manifest.json").read_text())["status"] == "failed"
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["outputs"] == [str(run_dir / "model.ckpt.failure.json")]
 
     def test_detect_jsonl_schema(self, tmp_path, trained_model):
         data_dir, ckpt = trained_model

@@ -288,25 +288,30 @@ def test_readers_fail_only_with_value_error(tmp_path_factory, blob):
             pass
 
 
+def write_scene(directory, scene_id, scene):
+    DT.write_cloud(directory / f"{scene_id}.bin", scene.cloud)
+    DT.write_labels(directory / f"{scene_id}.json", scene.objects)
+
+
 class TestDataset:
     def test_three_pairs_in_name_order(self, tmp_path):
         config = small_config()
         ids = ["scene_0002", "scene_0000", "scene_0001"]
         for i, sid in enumerate(ids):
-            DT.write_scene(tmp_path, sid, DT.generate_scene(config, seed=i))
+            write_scene(tmp_path, sid, DT.generate_scene(config, seed=i))
         loaded = DT.dataset(tmp_path)
         assert [sid for _, sid in loaded] == sorted(ids)
 
     def test_orphan_bin_rejected(self, tmp_path):
         config = small_config()
-        DT.write_scene(tmp_path, "scene_0000", DT.generate_scene(config, seed=0))
+        write_scene(tmp_path, "scene_0000", DT.generate_scene(config, seed=0))
         (tmp_path / "scene_0001.bin").write_bytes((tmp_path / "scene_0000.bin").read_bytes())
         with pytest.raises(ValueError, match="scene_0001.json"):
             DT.dataset(tmp_path)
 
     def test_orphan_json_rejected(self, tmp_path):
         config = small_config()
-        DT.write_scene(tmp_path, "scene_0000", DT.generate_scene(config, seed=0))
+        write_scene(tmp_path, "scene_0000", DT.generate_scene(config, seed=0))
         (tmp_path / "scene_0001.json").write_text("[]")
         with pytest.raises(ValueError, match="scene_0001.bin"):
             DT.dataset(tmp_path)
@@ -314,7 +319,7 @@ class TestDataset:
     def test_generated_then_loaded_matches_memory(self, tmp_path):
         config = small_config()
         scene = DT.generate_scene(config, seed=9)
-        DT.write_scene(tmp_path, "s", scene)
+        write_scene(tmp_path, "s", scene)
         (loaded, sid), = DT.dataset(tmp_path)
         assert sid == "s"
         np.testing.assert_allclose(
@@ -328,9 +333,3 @@ class TestDataset:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             DT.dataset(tmp_path / "nope")
-
-    def test_split_subdirectory(self, tmp_path):
-        config = small_config()
-        DT.write_scene(tmp_path / "train", "a", DT.generate_scene(config, seed=1))
-        loaded = DT.dataset(tmp_path, split="train")
-        assert len(loaded) == 1
