@@ -452,11 +452,30 @@ def cmd_gradcheck(args) -> int:
 # parser
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for an int of at least `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
+def _finite_float(positive: bool):
+    """An argparse type for a finite float that is > 0 if `positive`, else >= 0."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not np.isfinite(value) or value < 0 or (positive and value == 0):
+            raise argparse.ArgumentTypeError(f"must be finite and {'>' if positive else '>='} 0, got {text}")
+        return value
+
+    parse.__name__ = "float"
+    return parse
 
 
 def build_parser() -> _Parser:
@@ -469,7 +488,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     add_common(p)
-    p.add_argument("--scenes", type=_positive_int, required=True)
+    p.add_argument("--scenes", type=_int_at_least(1), required=True)
     p.add_argument("--out", type=str, required=True)
     p.add_argument("--points", type=int, default=None)
     p.add_argument("--noise", type=int, default=None)
@@ -500,16 +519,16 @@ def build_parser() -> _Parser:
     p.add_argument("--model", type=str, required=True)
     p.add_argument("--data", type=str, required=True)
     p.add_argument("--out", type=str, required=True)
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--scenes", type=_positive_int, default=None)
+    p.add_argument("--eps", type=_finite_float(positive=False), default=1e-3)
+    p.add_argument("--tol", type=_finite_float(positive=False), default=1e-9)
+    p.add_argument("--scenes", type=_int_at_least(1), default=None)
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("bench", help="forward latency and parameter counts")
     add_common(p)
     p.add_argument("--data", type=str, required=True)
     p.add_argument("--out", type=str, required=True)
-    p.add_argument("--reps", type=int, default=20)
+    p.add_argument("--reps", type=_int_at_least(H.MIN_REPETITIONS), default=20)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("ablate", help="one-axis-at-a-time ablation sweep")
@@ -522,8 +541,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference verification suite")
     add_common(p)
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--eps", type=_finite_float(positive=True), default=1e-5)
+    p.add_argument("--tol", type=_finite_float(positive=True), default=1e-4)
     p.add_argument("--manifest", type=str, default=None)
     p.set_defaults(func=cmd_gradcheck)
 

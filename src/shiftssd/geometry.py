@@ -72,6 +72,18 @@ class NeighborTable:
 
 
 @dataclass
+class RadiusScan:
+    """The (center, point) pairs of one radius scan in row-major order, so
+    each center's points are ascending, with their squared distances."""
+
+    row: np.ndarray  # H int64
+    point: np.ndarray  # H int64
+    d2: np.ndarray  # H float64
+    centers: int  # M, the number of centers scanned
+    radius: float
+
+
+@dataclass
 class Pairing:
     """Per-cluster index of its exchange partner; pairing[i] == i means isolated."""
 
@@ -136,16 +148,11 @@ def dfps(cloud: PointCloud, m: int, seed: int) -> np.ndarray:
     return selected
 
 
-def _radius_scan(
-    cloud: PointCloud, centers: np.ndarray, radius: float, find_anchors: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Exact inclusive in-radius search by one blocked scan over all points.
-
-    Returns the (center, point) index pairs within the radius in
-    row-major order, so each center's points are ascending, and, when
-    `find_anchors` is set, each center's smallest point index at exactly
-    zero distance.
-    """
+def radius_scan(cloud: PointCloud, centers: np.ndarray, radius: float) -> RadiusScan:
+    """Exact inclusive in-radius search by one blocked scan over all points."""
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
     if not np.isfinite(centers).all():
         raise ValueError("non-finite positions")
     cols = np.ascontiguousarray(cloud.positions.T)
@@ -153,21 +160,42 @@ def _radius_scan(
     r2 = radius * radius
     step = max(1, _SCAN_PAIRS // n)
     out, tmp = np.empty((min(step, m), n)), np.empty((min(step, m), n))
-    hits = [np.empty(0, dtype=np.int64)]
-    anchors = np.empty(m, dtype=np.int64) if find_anchors else None
+    hits, dists = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     for lo in range(0, m, step):
         block = centers[lo : lo + step]
-        d2 = _sq_dist(cols, block.T[:, :, None], out[: len(block)], tmp[: len(block)])
-        hits.append(lo * n + np.flatnonzero(d2 <= r2))
-        if find_anchors:
-            zero = d2 == 0.0
-            first = zero.argmax(axis=1)
-            missing = np.flatnonzero(~zero[np.arange(len(block)), first])
-            if missing.size:
-                raise ValueError(f"center {lo + missing[0]} does not coincide with any cloud point")
-            anchors[lo : lo + len(block)] = first
-    row, col = np.divmod(np.concatenate(hits), n)
-    return row, col, anchors
+        d2 = _sq_dist(cols, block.T[:, :, None], out[: len(block)], tmp[: len(block)]).reshape(-1)
+        inside = np.flatnonzero(d2 <= r2)
+        hits.append(lo * n + inside)
+        dists.append(d2[inside])
+    row, point = np.divmod(np.concatenate(hits), n)
+    return RadiusScan(row=row, point=point, d2=np.concatenate(dists), centers=m, radius=float(radius))
+
+
+def _coincident_anchors(scan: RadiusScan) -> np.ndarray:
+    """Each center's smallest point index at exactly zero distance."""
+    zero = np.flatnonzero(scan.d2 == 0.0)
+    rows = scan.row[zero]
+    found = np.zeros(scan.centers, dtype=bool)
+    found[rows] = True
+    missing = np.flatnonzero(~found)
+    if missing.size:
+        raise ValueError(f"center {missing[0]} does not coincide with any cloud point")
+    first = np.searchsorted(rows, np.arange(scan.centers))
+    return scan.point[zero[first]]
+
+
+def _floyd_subsets(counts: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniform `size`-subset of range(count) per row (every count above
+    `size`) by Floyd's algorithm, run on all rows at once from one array
+    draw. Step t draws from [0, j], j = count - size + t, and the row
+    keeps the draw, or j if it already holds the draw."""
+    bound = counts[:, None] - size + np.arange(size)
+    draws = rng.integers(0, bound + 1)
+    picked = np.empty_like(draws)
+    for t in range(size):
+        held = (picked[:, :t] == draws[:, t, None]).any(axis=1)
+        picked[:, t] = np.where(held, bound[:, t], draws[:, t])
+    return picked
 
 
 def ball_query(
@@ -177,6 +205,7 @@ def ball_query(
     k: int,
     seed: int,
     self_indices: np.ndarray | None = None,
+    scan: RadiusScan | None = None,
 ) -> NeighborTable:
     """Radius-bounded neighbor sampling with a fixed budget of K slots.
 
@@ -187,17 +216,29 @@ def ball_query(
     candidate positions). The remaining slots are a seeded uniform
     sample without replacement of the other in-radius points; short rows
     are padded by duplicating slot 0 with valid False. Only rows with
-    more than K-1 other points draw from the seeded stream, one
-    rng.choice each in row order.
+    more than K-1 other points sample, all of them from one seeded
+    array draw (`_floyd_subsets`).
+
+    `scan`, a radius_scan of the same cloud and centers at a radius at
+    least this one, replaces this call's own scan; its hits within this
+    radius are exactly the ones a scan at this radius finds.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if k < 1:
         raise ValueError("k must be >= 1")
-    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
-    m = centers.shape[0]
-    row, point, anchors = _radius_scan(cloud, centers, radius, self_indices is None)
-    if self_indices is not None:
+    m = np.asarray(centers).reshape(-1, 3).shape[0]
+    if scan is None:
+        scan = radius_scan(cloud, centers, radius)
+    elif scan.centers != m or scan.radius < radius:
+        raise ValueError("scan must cover these centers at a radius of at least this one")
+    row, point = scan.row, scan.point
+    if scan.radius > radius:
+        inside = scan.d2 <= radius * radius
+        row, point = row[inside], point[inside]
+    if self_indices is None:
+        anchors = _coincident_anchors(scan)
+    else:
         anchors = np.asarray(self_indices, dtype=np.int64).reshape(-1)
         if anchors.shape[0] != m:
             raise ValueError("self_indices length must match center count")
@@ -211,15 +252,17 @@ def ball_query(
     indices = np.repeat(anchors[:, None], k, axis=1)
     valid = np.zeros((m, k), dtype=bool)
     valid[:, 0] = True
-    full = np.diff(starts) > k - 1
+    counts = np.diff(starts)
+    full = counts > k - 1
     short = ~full[row]
     slot = np.arange(row.size) - starts[row] + 1
     indices[row[short], slot[short]] = point[short]
     valid[row[short], slot[short]] = True
-    rng = np.random.default_rng(seed)
-    for i in np.flatnonzero(full):
-        indices[i, 1:] = rng.choice(point[starts[i] : starts[i + 1]], size=k - 1, replace=False)
-    valid[full] = True
+    rows = np.flatnonzero(full)
+    if rows.size:
+        picked = _floyd_subsets(counts[rows], k - 1, np.random.default_rng(seed))
+        indices[rows, 1:] = point[starts[rows, None] + picked]
+        valid[rows] = True
     return NeighborTable(indices=indices, valid=valid, radius=float(radius))
 
 

@@ -331,8 +331,9 @@ def receptive_field_probe(
 
     Perturbed copies are replayed as one forward over their disjoint
     union, `_PROBE_ROWS // n` copies (at least one) per chunk."""
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
+    for name, value in (("eps", eps), ("tol", tol)):
+        if not (np.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and non-negative, got {value}")
     fresh, decisions = D.backbone_forward(cloud, model_config, params, seed)
     cluster_positions = fresh[-1].positions
     del fresh  # frees its autodiff graph before the batched replays
@@ -394,6 +395,9 @@ def receptive_field_probe(
 # ---------------------------------------------------------------------------
 # latency benchmark
 
+# fewer timed repetitions than this give no usable median
+MIN_REPETITIONS = 10
+
 
 @dataclass
 class BenchRow:
@@ -419,8 +423,8 @@ def latency_bench(
     seed: int = 0,
 ) -> BenchReport:
     """Wall-clock full-pipeline forward timing with two discarded warmups."""
-    if repetitions < 10:
-        raise ValueError("repetitions must be >= 10")
+    if repetitions < MIN_REPETITIONS:
+        raise ValueError(f"repetitions must be >= {MIN_REPETITIONS}")
     rows = []
     for name, config, params in variants:
         for cloud in clouds[:1]:  # warmup

@@ -188,12 +188,15 @@ def set_feature_abstraction(
     f_mlp: T.MlpParams,
     seed: int,
     table: G.NeighborTable | None = None,
+    scan: G.RadiusScan | None = None,
 ) -> tuple[T.Tensor, G.NeighborTable]:
     """Summarize each cluster's ball neighborhood into one feature row.
 
     Per neighbor the MLP input is [x_k, p_k - p_i]; a masked max over
     the K slots reduces each group, so padded slots never contribute.
-    Returns the neighbor table alongside for reuse (pairing, replay).
+    Without a `table`, one is drawn by ball_query, from `scan` when
+    given. Returns the neighbor table alongside for reuse (pairing,
+    replay).
     """
     cluster_indices = np.asarray(cluster_indices, dtype=np.int64)
     if table is None:
@@ -205,6 +208,7 @@ def set_feature_abstraction(
             k=scale.k,
             seed=seed,
             self_indices=cluster_indices,
+            scan=scan,
         )
     flat = table.indices.reshape(-1)
     centers = positions[cluster_indices]
@@ -328,14 +332,18 @@ def ssa_forward(
     With `frozen` decisions the pass replays previously recorded
     sampling choices (cluster indices, neighbor tables, pairing) on
     possibly perturbed inputs; otherwise fresh seeded choices are made
-    and returned for later replay.
+    and returned for later replay. Fresh tables of all scales come from
+    one radius scan at the largest radius.
     """
     positions = np.asarray(positions, dtype=np.float64)
     cloud = G.PointCloud(positions=positions)
     if frozen is None:
         cluster_indices = G.dfps(cloud, m_out, seed=G.derive_seed(seed, 0))
+        radius = max(scale.radius for scale in config.scales)
+        scan = G.radius_scan(cloud, positions[cluster_indices], radius)
     else:
         cluster_indices = frozen.cluster_indices
+        scan = None
 
     per_scale: list[T.Tensor] = []
     tables: list[G.NeighborTable] = []
@@ -349,6 +357,7 @@ def ssa_forward(
             params.f_mlps[si],
             seed=G.derive_seed(seed, 1, si),
             table=table,
+            scan=scan,
         )
         per_scale.append(pooled)
         tables.append(table)

@@ -137,15 +137,22 @@ class TestUsage:
             (["gen", "--scenes", 0], "--scenes"),
             (["probe", "--model", "{ckpt}", "--data", "{data}", "--scenes", -1], "--scenes"),
             (["detect", "--model", "{ckpt}", "--in", "{scene}", "--score-threshold", "nan"], "--score-threshold"),
+            (["gradcheck", "--tol", "nan"], "--tol"),
+            (["gradcheck", "--eps", 0], "--eps"),
+            (["probe", "--model", "{ckpt}", "--data", "{data}", "--tol", "nan"], "--tol"),
+            (["probe", "--model", "{ckpt}", "--data", "{data}", "--eps", "inf"], "--eps"),
+            (["bench", "--data", "{data}", "--reps", 5], "--reps"),
         ],
         ids=["train_epochs_0", "train_lr_negative", "train_lr_nan", "ablate_epochs_0",
-             "gen_points_10", "gen_scenes_0", "probe_scenes_negative", "detect_score_threshold_nan"],
+             "gen_points_10", "gen_scenes_0", "probe_scenes_negative", "detect_score_threshold_nan",
+             "gradcheck_tol_nan", "gradcheck_eps_0", "probe_tol_nan", "probe_eps_inf", "bench_reps_5"],
     )
     def test_rejected_flag_exits_1(self, tmp_path, trained_model, capsys, argv, flag):
         data_dir, ckpt = trained_model
         paths = {"data": data_dir, "ckpt": ckpt, "scene": data_dir / "scene_0000.bin"}
         fresh = tmp_path / "fresh"
-        argv = [str(a).format(**paths) for a in argv] + ["--out", fresh / "out", "--seed", 1]
+        out = ["--manifest", fresh / "gradcheck.json"] if argv[0] == "gradcheck" else ["--out", fresh / "out"]
+        argv = [str(a).format(**paths) for a in argv] + out + ["--seed", 1]
         capsys.readouterr()
         assert run(argv) == 1
         err = capsys.readouterr().err

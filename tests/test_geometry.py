@@ -135,6 +135,11 @@ class TestBallQuery:
         with pytest.raises(ValueError, match="radius"):
             G.ball_query(cloud, cloud.positions, radius=0.0, k=4, seed=0)
 
+    def test_center_off_cloud_needs_explicit_anchor(self):
+        cloud = G.PointCloud(positions=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="center 1 does not coincide"):
+            G.ball_query(cloud, [[1.0, 0.0, 0.0], [0.5, 0.0, 0.0]], radius=2.0, k=2, seed=0)
+
     def test_explicit_anchor_outside_radius(self):
         # anchors support centers that are not cloud points
         pos = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]])
@@ -182,8 +187,8 @@ class TestFarthestNeighborPairing:
 
 def scan_rows(cloud, centers, radius):
     """The radius scan's hits as one ascending index array per center."""
-    row, col, _ = G._radius_scan(cloud, np.asarray(centers, dtype=np.float64), radius, False)
-    return [col[row == i] for i in range(len(centers))]
+    scan = G.radius_scan(cloud, centers, radius)
+    return [scan.point[scan.row == i] for i in range(len(centers))]
 
 
 def naive_rows(cloud, centers, radius):
@@ -256,8 +261,8 @@ class TestDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# oracles: the former per-row kernels, kept as references the array code
-# must match exactly, including the seeded stream of rng.choice calls
+# oracles: per-row references the array code must match exactly; the ball
+# query reference resolves the same seeded draw row by row
 
 
 def reference_ball_query(cloud, centers, radius, k, seed, self_indices=None):
@@ -268,15 +273,26 @@ def reference_ball_query(cloud, centers, radius, k, seed, self_indices=None):
         anchors = np.array([np.flatnonzero(row == 0.0)[0] for row in d2], dtype=np.int64)
     else:
         anchors = np.asarray(self_indices, dtype=np.int64)
-    rng = np.random.default_rng(seed)
+    others = []
+    for i in range(m):
+        in_radius = np.flatnonzero(d2[i] <= radius * radius)
+        others.append(in_radius[in_radius != anchors[i]])
+    # the one draw: row f of the over-full rows, step t, uniform in [0, j]
+    # with j = count - (k - 1) + t
+    full = [i for i in range(m) if others[i].size > k - 1]
+    counts = np.array([others[i].size for i in full], dtype=np.int64)
+    draws = np.random.default_rng(seed).integers(0, counts[:, None] - (k - 1) + np.arange(k - 1) + 1)
+    for f, i in enumerate(full):
+        picks = []
+        for t in range(k - 1):
+            j = int(counts[f]) - (k - 1) + t
+            v = int(draws[f, t])
+            picks.append(j if v in picks else v)
+        others[i] = others[i][picks]
     indices = np.empty((m, k), dtype=np.int64)
     valid = np.zeros((m, k), dtype=bool)
     for i in range(m):
-        in_radius = np.flatnonzero(d2[i] <= radius * radius)
-        others = in_radius[in_radius != anchors[i]]
-        if others.size > k - 1:
-            others = rng.choice(others, size=k - 1, replace=False)
-        row = np.concatenate(([anchors[i]], others))
+        row = np.concatenate(([anchors[i]], others[i]))
         indices[i] = anchors[i]
         indices[i, : row.size] = row
         valid[i, : row.size] = True
@@ -329,6 +345,45 @@ class TestOracles:
             np.testing.assert_array_equal(table.valid, valid)
             over_full += int(valid.all(axis=1).sum())
         assert over_full > 0  # the seeded subsampling ran
+
+    def test_subsets_uniform_without_repeats(self):
+        # one row with 6 candidates and k - 1 = 3 slots, over 2000 seeds:
+        # each of the C(6, 3) = 20 subsets is expected 100 times
+        pos = np.array([[0.0, 0.0, 0.0]] + [[0.1 * (p + 1), 0.0, 0.0] for p in range(6)])
+        cloud = G.PointCloud(positions=pos)
+        counts = {}
+        for seed in range(2000):
+            row = G.ball_query(cloud, pos[:1], radius=1.0, k=4, seed=seed).indices[0, 1:]
+            assert len(set(row.tolist())) == 3 and 0 not in row
+            key = tuple(sorted(row.tolist()))
+            counts[key] = counts.get(key, 0) + 1
+        assert len(counts) == 20
+        chi2 = sum((c - 100) ** 2 / 100 for c in counts.values())
+        assert chi2 < 43.82  # the 0.999 quantile of chi-square with 19 degrees of freedom
+
+    def test_shared_scan_equals_standalone_queries(self):
+        # lattice clouds put points exactly on both radii, so the inclusive
+        # boundary of the filtered scan is exercised at each
+        rng = np.random.default_rng(20)
+        on_radius = {0: 0, 1: 0}
+        for cloud, centers, anchors, radius, k, seed in oracle_cases(rng, self.SIZES):
+            radii = (radius, float(rng.choice([0.5, 1.0, 1.5, 2.5, 4.0])))
+            scan = G.radius_scan(cloud, centers, max(radii))
+            for si, r in enumerate(radii):
+                shared = G.ball_query(cloud, centers, r, k, seed, self_indices=anchors, scan=scan)
+                alone = G.ball_query(cloud, centers, r, k, seed, self_indices=anchors)
+                np.testing.assert_array_equal(shared.indices, alone.indices)
+                np.testing.assert_array_equal(shared.valid, alone.valid)
+                on_radius[si] += int((scan.d2 == r * r).sum())
+        assert min(on_radius.values()) > 0
+
+    def test_scan_must_cover_the_query(self):
+        cloud = G.PointCloud(positions=np.zeros((3, 3)))
+        scan = G.radius_scan(cloud, cloud.positions, 1.0)
+        with pytest.raises(ValueError, match="scan"):
+            G.ball_query(cloud, cloud.positions, 2.0, 2, 0, scan=scan)
+        with pytest.raises(ValueError, match="scan"):
+            G.ball_query(cloud, cloud.positions[:2], 0.5, 2, 0, scan=scan)
 
     def test_pairing_matches_reference_with_ties(self):
         rng = np.random.default_rng(18)

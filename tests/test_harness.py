@@ -326,6 +326,15 @@ class TestProbe:
         with pytest.raises(ValueError):
             H.receptive_field_probe(config, params, two_clique_cloud(), eps=-1.0, tol=1e-9, seed=0)
 
+    @pytest.mark.parametrize("eps, tol, name", [
+        (float("nan"), 1e-9, "eps"), (float("inf"), 1e-9, "eps"),
+        (1e-3, float("nan"), "tol"), (1e-3, float("inf"), "tol"), (1e-3, -1e-9, "tol"),
+    ])
+    def test_rejects_non_finite_eps_or_tol(self, eps, tol, name):
+        config, params = probe_model()
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            H.receptive_field_probe(config, params, two_clique_cloud(), eps=eps, tol=tol, seed=0)
+
     @pytest.mark.parametrize("base, i", PROBE_SCENES, ids=[f"seed{b}-{i}" for b, i in PROBE_SCENES])
     def test_equals_per_replay_oracle(self, criterion4_model, base, i):
         config, params = criterion4_model

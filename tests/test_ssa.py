@@ -254,6 +254,27 @@ class TestSsaForward:
         err = T.grad_check(f, params.tensors() + [feats], eps=1e-5)
         assert err < 1e-4
 
+    def test_tables_equal_standalone_queries(self):
+        # both scales' fresh tables come from one scan at the larger radius;
+        # on a half-meter lattice points lie exactly on both radii
+        rng = np.random.default_rng(18)
+        positions = np.round(rng.uniform(-3, 3, size=(60, 3)) * 2.0) / 2.0
+        config = toy_config()
+        params = S.init_ssa_params(config, in_channels=1, rng=np.random.default_rng(19))
+        feats = T.Tensor(rng.normal(size=(60, 1)))
+        _, _, decisions = S.ssa_forward(positions, feats, 16, config, params, seed=6)
+        cloud = G.PointCloud(positions=positions)
+        centers = positions[decisions.cluster_indices]
+        for si, scale in enumerate(config.scales):
+            d2 = G.pairwise_sq_dist(centers, positions)
+            assert (d2 == scale.radius ** 2).any()
+            alone = G.ball_query(
+                cloud, centers, scale.radius, scale.k, G.derive_seed(6, 1, si),
+                self_indices=decisions.cluster_indices,
+            )
+            np.testing.assert_array_equal(decisions.tables[si].indices, alone.indices)
+            np.testing.assert_array_equal(decisions.tables[si].valid, alone.valid)
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(16)
         positions = rng.uniform(-3, 3, size=(18, 3))
