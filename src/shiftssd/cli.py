@@ -169,10 +169,12 @@ def _train_setup(args) -> tuple[D.ModelConfig, H.TrainConfig]:
 
 
 def _git_describe() -> str:
+    """The revision of the checkout this package runs from, whatever the
+    working directory; "unknown" outside a git checkout."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=10,
+            capture_output=True, text=True, timeout=10, cwd=Path(__file__).resolve().parent,
         )
         return out.stdout.strip() or "unknown"
     except (OSError, subprocess.SubprocessError):

@@ -82,6 +82,17 @@ class ModelConfig:
             raise ValueError("one SSA config per stage required")
         if not all(a > b for a, b in zip(self.stage_points, self.stage_points[1:])):
             raise ValueError("stage point counts must be strictly decreasing")
+        if not self.stage_points or min(self.stage_points) < 1:
+            raise ValueError("stage_points must be non-empty and each >= 1")
+        if not (np.isfinite(self.agg_radius) and self.agg_radius > 0):
+            raise ValueError("agg_radius must be finite and positive")
+        if self.agg_k < 1:
+            raise ValueError("agg_k must be >= 1")
+        if not (self.agg_f and self.agg_a):
+            raise ValueError("agg_f and agg_a must be non-empty")
+        for name in ("vote_hidden", "agg_f", "agg_a", "head_hidden"):
+            if min(getattr(self, name), default=1) < 1:
+                raise ValueError(f"{name} widths must each be >= 1")
         if self.angle_bins < 2:
             raise ValueError("need at least 2 angle bins")
         if self.num_classes < 1 or len(self.anchors) != self.num_classes:
@@ -207,7 +218,6 @@ class ForwardOutput:
     stages: list[S.ClusterFeatures]
     offsets: T.Tensor
     candidates: T.Tensor
-    instance: T.Tensor
     raw: RawPrediction
     decisions: DetectorDecisions
 
@@ -231,7 +241,7 @@ def backbone_forward(
     for t, (m_out, ssa_cfg, ssa_params) in enumerate(
         zip(config.stage_points, config.stage_ssa, params.backbone)
     ):
-        out, _, used = S.ssa_forward(
+        out, used = S.ssa_forward(
             positions,
             features,
             m_out,
@@ -260,38 +270,23 @@ def candidate_aggregation(
     candidates: T.Tensor,
     src_positions: np.ndarray,
     src_features: T.Tensor,
-    radius: float,
-    k: int,
+    table: G.NeighborTable,
     f_mlp: T.MlpParams,
     a_mlp: T.MlpParams,
-    seed: int,
-    frozen_table: G.NeighborTable | None = None,
-) -> tuple[T.Tensor, G.NeighborTable]:
+) -> T.Tensor:
     """Plain single-scale set abstraction centered at the vote candidates.
 
-    Candidate i anchors to source row i (its originating cluster), so
-    every group stays non-empty even when the vote pushes a candidate
-    into empty space. Relative coordinates are built through the graph,
-    letting gradients flow back into the vote offsets.
+    `table` row i groups source rows around candidate i. Relative
+    coordinates are built through the graph, letting gradients flow back
+    into the vote offsets.
     """
-    m = candidates.shape[0]
-    if frozen_table is None:
-        table = G.ball_query(
-            G.PointCloud(positions=src_positions),
-            candidates.values,
-            radius=radius,
-            k=k,
-            seed=seed,
-            self_indices=np.arange(m),
-        )
-    else:
-        table = frozen_table
+    k = table.indices.shape[1]
     flat = table.indices.reshape(-1)
     gathered = T.gather_rows(src_features, flat)
     rel = T.sub(T.Tensor(src_positions[flat]), T.repeat_rows(candidates, k))
     per_neighbor = T.mlp_forward(T.concat_cols([gathered, rel]), f_mlp)
     pooled = T.reduce_max(per_neighbor, k, table.valid)
-    return T.mlp_forward(pooled, a_mlp), table
+    return T.mlp_forward(pooled, a_mlp)
 
 
 def prediction_heads(instance: T.Tensor, config: ModelConfig, params: ModelParams) -> RawPrediction:
@@ -314,29 +309,35 @@ def model_forward(
     seed: int,
     frozen: DetectorDecisions | None = None,
 ) -> ForwardOutput:
+    """The full detector pass. With `ssa_forward`, the only place sampling
+    decisions are drawn or replayed: the aggregation table comes from
+    `frozen` when it holds one, and is otherwise drawn around the vote
+    candidates, candidate i anchored to its originating cluster i so
+    that no group is empty."""
     stages, stage_decisions = backbone_forward(
         cloud, config, params, seed,
         frozen=frozen.stages if frozen is not None else None,
     )
     final = stages[-1]
     candidates, offsets = vote_layer(final, params.vote)
-    instance, agg_table = candidate_aggregation(
-        candidates,
-        final.positions,
-        final.aggregated,
-        radius=config.agg_radius,
-        k=config.agg_k,
-        f_mlp=params.agg_f,
-        a_mlp=params.agg_a,
-        seed=G.derive_seed(seed, 20),
-        frozen_table=frozen.agg_table if frozen is not None else None,
+    agg_table = frozen.agg_table if frozen is not None else None
+    if agg_table is None:
+        agg_table = G.ball_query(
+            G.PointCloud(positions=final.positions),
+            candidates.values,
+            radius=config.agg_radius,
+            k=config.agg_k,
+            seed=G.derive_seed(seed, 20),
+            self_indices=np.arange(candidates.shape[0]),
+        )
+    instance = candidate_aggregation(
+        candidates, final.positions, final.aggregated, agg_table, params.agg_f, params.agg_a
     )
     raw = prediction_heads(instance, config, params)
     return ForwardOutput(
         stages=stages,
         offsets=offsets,
         candidates=candidates,
-        instance=instance,
         raw=raw,
         decisions=DetectorDecisions(stages=stage_decisions, agg_table=agg_table),
     )

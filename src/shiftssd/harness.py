@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -156,7 +156,7 @@ def train_toy(
             fwd_seed = scene_seed(train_config.seed, idx)
             frozen = None
             if cacheable and idx in decision_cache:
-                frozen = D.DetectorDecisions(stages=decision_cache[idx], agg_table=None)
+                frozen = D.DetectorDecisions(stages=decision_cache[idx])
             try:
                 # Rebinding out/total frees the previous step's graph only
                 # after this forward has allocated its own; deleting it first
@@ -180,7 +180,7 @@ def train_toy(
                 raise TrainingAborted(epoch, sid, history[-3:], err) from err
             if cacheable and idx not in decision_cache:
                 decision_cache[idx] = out.decisions.stages
-            for key, value in breakdown.as_dict().items():
+            for key, value in asdict(breakdown).items():
                 epoch_sums[key] = epoch_sums.get(key, 0.0) + value
             step += 1
         row = {k: v / len(scenes) for k, v in epoch_sums.items()}
@@ -630,11 +630,11 @@ def gradcheck_suite(seed: int, eps: float = 1e-5) -> dict[str, float]:
     positions = rng.uniform(-2, 2, size=(12, 3))
     feats = T.Tensor(rng.normal(size=(12, 2)))
     ssa_params = S.init_ssa_params(ssa_cfg, 2, rng)
-    _, _, frozen_ssa = S.ssa_forward(positions, feats, 5, ssa_cfg, ssa_params, seed=seed)
+    _, frozen_ssa = S.ssa_forward(positions, feats, 5, ssa_cfg, ssa_params, seed=seed)
     probe = T.Tensor(rng.normal(size=(5, 6)))
 
     def ssa_loss():
-        out, _, _ = S.ssa_forward(
+        out, _ = S.ssa_forward(
             positions, feats, 5, ssa_cfg, ssa_params, seed=seed, frozen=frozen_ssa
         )
         return T.mean_all(T.mul(out.aggregated, probe))

@@ -16,15 +16,6 @@ import numpy as np
 from . import tensor as T
 from .detector import Box3D, ModelConfig, RawPrediction, bin_center, encode_angle, normalize_yaw
 
-# Loss weights: one lambda per top-level term, one delta per box sub-term.
-LAMBDA_OFFSET = 1.0
-LAMBDA_CLS = 1.0
-LAMBDA_BOX = 1.0
-DELTA_LOC = 1.0
-DELTA_SIZE = 1.0
-DELTA_ANGLE = 1.0
-DELTA_CORNER = 1.0
-
 # BEV corner sign pattern, counterclockwise from (+l/2, +w/2); bottom
 # face first, then top.
 _BEV_SIGNS = [(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)]
@@ -39,17 +30,6 @@ class LossBreakdown:
     angle: float
     corner: float
     total: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "offset": self.offset,
-            "cls": self.cls,
-            "loc": self.loc,
-            "size": self.size,
-            "angle": self.angle,
-            "corner": self.corner,
-            "total": self.total,
-        }
 
 
 @dataclass
@@ -278,15 +258,9 @@ def total_loss(
     angle: T.Tensor,
     corner: T.Tensor,
 ) -> tuple[LossBreakdown, T.Tensor]:
-    """Exact weighted sum; every weight is 1.0."""
-    box = T.add(
-        T.add(T.scale(loc, DELTA_LOC), T.scale(size, DELTA_SIZE)),
-        T.add(T.scale(angle, DELTA_ANGLE), T.scale(corner, DELTA_CORNER)),
-    )
-    total = T.add(
-        T.add(T.scale(offset, LAMBDA_OFFSET), T.scale(cls, LAMBDA_CLS)),
-        T.scale(box, LAMBDA_BOX),
-    )
+    """Unit-weighted sum: (offset + cls) + ((loc + size) + (angle + corner))."""
+    box = T.add(T.add(loc, size), T.add(angle, corner))
+    total = T.add(T.add(offset, cls), box)
     breakdown = LossBreakdown(
         offset=offset.item(),
         cls=cls.item(),

@@ -32,12 +32,12 @@ class ScaleConfig:
     mlp: list[int]
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("scale radius must be positive")
+        if not (np.isfinite(self.radius) and self.radius > 0):
+            raise ValueError("scale radius must be finite and positive")
         if self.k < 1:
             raise ValueError("scale k must be >= 1")
-        if not self.mlp:
-            raise ValueError("scale mlp widths must be non-empty")
+        if not self.mlp or min(self.mlp) < 1:
+            raise ValueError("scale mlp widths must be non-empty and each >= 1")
 
     @property
     def out_channels(self) -> int:
@@ -66,10 +66,14 @@ class SsaConfig:
         max_radius = max(s.radius for s in self.scales)
         if self.r_prime is None:
             self.r_prime = 2.0 * max_radius
-        if self.r_prime < max_radius:
-            raise ValueError("r_prime must be at least the largest scale radius")
+        if not (np.isfinite(self.r_prime) and self.r_prime >= max_radius):
+            raise ValueError("r_prime must be finite and at least the largest scale radius")
         if self.candidate_k is None:
             self.candidate_k = max(s.k for s in self.scales)
+        if self.candidate_k < 1:
+            raise ValueError("candidate_k must be >= 1")
+        if min(self.aggregation, default=1) < 1:
+            raise ValueError("aggregation widths must each be >= 1")
         if not self.aggregation:
             total = sum(s.out_channels for s in self.scales)
             self.aggregation = [total]
@@ -168,7 +172,6 @@ class ClusterFeatures:
     positions: np.ndarray  # Mx3
     per_scale: list[T.Tensor]  # each MxC_r
     aggregated: T.Tensor  # MxC_a
-    indices: np.ndarray  # M indices into the parent cloud
 
 
 @dataclass
@@ -184,40 +187,21 @@ def set_feature_abstraction(
     positions: np.ndarray,
     features: T.Tensor,
     cluster_indices: np.ndarray,
-    scale: ScaleConfig,
+    table: G.NeighborTable,
     f_mlp: T.MlpParams,
-    seed: int,
-    table: G.NeighborTable | None = None,
-    scan: G.RadiusScan | None = None,
-) -> tuple[T.Tensor, G.NeighborTable]:
-    """Summarize each cluster's ball neighborhood into one feature row.
+) -> T.Tensor:
+    """Summarize each cluster's ball neighborhood in `table` into one feature row.
 
     Per neighbor the MLP input is [x_k, p_k - p_i]; a masked max over
     the K slots reduces each group, so padded slots never contribute.
-    Without a `table`, one is drawn by ball_query, from `scan` when
-    given. Returns the neighbor table alongside for reuse (pairing,
-    replay).
     """
-    cluster_indices = np.asarray(cluster_indices, dtype=np.int64)
-    if table is None:
-        cloud = G.PointCloud(positions=positions)
-        table = G.ball_query(
-            cloud,
-            positions[cluster_indices],
-            radius=scale.radius,
-            k=scale.k,
-            seed=seed,
-            self_indices=cluster_indices,
-            scan=scan,
-        )
+    k = table.indices.shape[1]
     flat = table.indices.reshape(-1)
-    centers = positions[cluster_indices]
-    rel = positions[flat] - np.repeat(centers, scale.k, axis=0)
+    rel = positions[flat] - np.repeat(positions[cluster_indices], k, axis=0)
     neighbor_feats = T.gather_rows(features, flat)
     mlp_in = T.concat_cols([neighbor_feats, T.Tensor(rel)])
     per_neighbor = T.mlp_forward(mlp_in, f_mlp)
-    pooled = T.reduce_max(per_neighbor, scale.k, table.valid)
-    return pooled, table
+    return T.reduce_max(per_neighbor, k, table.valid)
 
 
 def cross_cluster_shift(
@@ -326,41 +310,35 @@ def ssa_forward(
     params: SsaParams,
     seed: int,
     frozen: SsaDecisions | None = None,
-) -> tuple[ClusterFeatures, G.Pairing, SsaDecisions]:
+) -> tuple[ClusterFeatures, SsaDecisions]:
     """One full layer pass: sample, abstract per scale, pair, exchange, aggregate.
 
-    With `frozen` decisions the pass replays previously recorded
-    sampling choices (cluster indices, neighbor tables, pairing) on
-    possibly perturbed inputs; otherwise fresh seeded choices are made
-    and returned for later replay. Fresh tables of all scales come from
-    one radius scan at the largest radius.
+    This is the only place a layer's sampling decisions are made. With
+    `frozen` the pass replays recorded decisions (cluster indices,
+    neighbor tables, pairing) on possibly perturbed inputs; otherwise it
+    draws fresh seeded ones, every scale's table from one radius scan at
+    the largest radius, and returns them for later replay.
     """
     positions = np.asarray(positions, dtype=np.float64)
-    cloud = G.PointCloud(positions=positions)
     if frozen is None:
+        cloud = G.PointCloud(positions=positions)
         cluster_indices = G.dfps(cloud, m_out, seed=G.derive_seed(seed, 0))
-        radius = max(scale.radius for scale in config.scales)
-        scan = G.radius_scan(cloud, positions[cluster_indices], radius)
+        centers = positions[cluster_indices]
+        scan = G.radius_scan(cloud, centers, max(scale.radius for scale in config.scales))
+        tables = [
+            G.ball_query(
+                cloud, centers, scale.radius, scale.k, seed=G.derive_seed(seed, 1, si),
+                self_indices=cluster_indices, scan=scan,
+            )
+            for si, scale in enumerate(config.scales)
+        ]
     else:
-        cluster_indices = frozen.cluster_indices
-        scan = None
+        cluster_indices, tables = frozen.cluster_indices, frozen.tables
 
-    per_scale: list[T.Tensor] = []
-    tables: list[G.NeighborTable] = []
-    for si, scale in enumerate(config.scales):
-        table = frozen.tables[si] if frozen is not None else None
-        pooled, table = set_feature_abstraction(
-            positions,
-            features,
-            cluster_indices,
-            scale,
-            params.f_mlps[si],
-            seed=G.derive_seed(seed, 1, si),
-            table=table,
-            scan=scan,
-        )
-        per_scale.append(pooled)
-        tables.append(table)
+    per_scale = [
+        set_feature_abstraction(positions, features, cluster_indices, table, f_mlp)
+        for table, f_mlp in zip(tables, params.f_mlps)
+    ]
 
     clusters = G.PointCloud(positions=positions[cluster_indices])
     if frozen is not None:
@@ -388,7 +366,6 @@ def ssa_forward(
         positions=clusters.positions,
         per_scale=per_scale,
         aggregated=aggregated,
-        indices=cluster_indices,
     )
     decisions = SsaDecisions(cluster_indices=cluster_indices, tables=tables, pairing=pairing)
-    return out, pairing, decisions
+    return out, decisions

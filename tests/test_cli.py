@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import platform
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -108,10 +109,23 @@ class TestUsage:
             (lambda c: c["train"].update(warmup_frac=0), "train: warmup_frac"),
             (lambda c: c["train"].update(peak_lr=float("nan")), "train: peak_lr"),
             (lambda c: c["model"].update(score_threshold=float("nan")), "model: score_threshold"),
+            (lambda c: c["model"].update(agg_k=0), "model: agg_k"),
+            (lambda c: c["model"].update(agg_radius=-1), "model: agg_radius"),
+            (lambda c: c["model"].update(agg_f=[]), "model: agg_f"),
+            (lambda c: c["model"].update(agg_a=[16, 0]), "model: agg_a"),
+            (lambda c: c["model"]["stage_ssa"][0]["scales"][0].update(mlp=[0]), "model.stage_ssa[0].scales[0]: scale mlp"),
+            (lambda c: c["model"].update(stage_points=[24, 0]), "model: stage_points"),
+            (lambda c: c["model"]["stage_ssa"][1]["scales"][0].update(radius=float("nan")),
+             "model.stage_ssa[1].scales[0]: scale radius"),
+            (lambda c: c["model"]["stage_ssa"][0].update(r_prime=float("nan")), "model.stage_ssa[0]: r_prime"),
+            (lambda c: c["model"]["stage_ssa"][0].update(candidate_k=0), "model.stage_ssa[0]: candidate_k"),
+            (lambda c: c["model"]["stage_ssa"][1].update(aggregation=[0]), "model.stage_ssa[1]: aggregation"),
         ],
         ids=[
             "rejected_value", "wrong_type", "empty_scales", "unknown_key", "tuple_length", "unknown_section",
-            "zero_warmup", "nan_lr", "nan_score_threshold",
+            "zero_warmup", "nan_lr", "nan_score_threshold", "agg_k_0", "agg_radius_negative", "agg_f_empty",
+            "agg_a_width_0", "scale_width_0", "stage_points_0", "scale_radius_nan", "r_prime_nan",
+            "candidate_k_0", "aggregation_width_0",
         ],
     )
     def test_malformed_config_exits_1(self, tmp_path, small_config_file, capsys, edit, where):
@@ -182,6 +196,20 @@ class TestGen:
         assert manifest["cpu_count"] == os.cpu_count()
         assert manifest["python"] == platform.python_version()
         assert manifest["numpy"] == np.__version__
+
+    def test_manifest_git_is_the_package_revision(self, tmp_path, small_config_file, monkeypatch):
+        # the revision of the checkout the code runs from, not of the cwd
+        try:
+            described = subprocess.run(
+                ["git", "describe", "--always", "--dirty"],
+                capture_output=True, text=True, timeout=10, cwd=Path(cli.__file__).resolve().parent,
+            ).stdout.strip()
+        except OSError:
+            described = ""
+        monkeypatch.chdir(tmp_path)
+        run(["gen", "--scenes", 1, "--out", "data", "--seed", 7, "--config", small_config_file])
+        manifest = json.loads((tmp_path / "data" / "manifest.json").read_text())
+        assert manifest["git"] == (described or "unknown")
 
     def test_byte_identical_rerun(self, tmp_path, small_config_file):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

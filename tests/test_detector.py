@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -103,8 +105,8 @@ class TestBackbone:
         cloud = tiny_cloud(rng, 12)
         config = tiny_config(stages=((12, (1.5, 3.0)),))
         params = D.init_model_params(config, seed=1)
-        stages, _ = D.backbone_forward(cloud, config, params, seed=2)
-        assert sorted(stages[0].indices.tolist()) == list(range(12))
+        _, decisions = D.backbone_forward(cloud, config, params, seed=2)
+        assert sorted(decisions[0].cluster_indices.tolist()) == list(range(12))
 
     def test_stage_shapes_chain(self):
         rng = np.random.default_rng(1)
@@ -141,6 +143,31 @@ class TestBackbone:
         assert T.grad_check(f, tensors, eps=1e-5) < 1e-4
 
 
+class TestDecisionReplay:
+    def test_frozen_decisions_reproduce_forward(self):
+        rng = np.random.default_rng(10)
+        cloud = tiny_cloud(rng, 24)
+        # 10 candidates with k = 6 and a radius that takes in every cluster:
+        # each aggregation row subsamples, so its table depends on the seed
+        config = dataclasses.replace(tiny_config(stages=((16, (1.5, 3.0)), (10, (2.5, 5.0)))), agg_radius=20.0)
+        params = D.init_model_params(config, seed=11)
+        out = D.model_forward(cloud, config, params, seed=12)
+        stages_only = D.DetectorDecisions(stages=out.decisions.stages)
+        other = D.model_forward(cloud, config, params, seed=99, frozen=stages_only)
+        assert (other.decisions.agg_table.indices != out.decisions.agg_table.indices).any()
+        # a full replay draws nothing, so its seed does not matter
+        replay = D.model_forward(cloud, config, params, seed=99, frozen=out.decisions)
+        for field in dataclasses.fields(D.RawPrediction):
+            got, want = getattr(replay.raw, field.name), getattr(out.raw, field.name)
+            assert got.values.tobytes() == want.values.tobytes(), field.name
+        assert replay.candidates.values.tobytes() == out.candidates.values.tobytes()
+
+        # train_toy's cache keeps only the stages; the same seed redraws the same table
+        redrawn = D.model_forward(cloud, config, params, seed=12, frozen=stages_only)
+        np.testing.assert_array_equal(redrawn.decisions.agg_table.indices, out.decisions.agg_table.indices)
+        np.testing.assert_array_equal(redrawn.decisions.agg_table.valid, out.decisions.agg_table.valid)
+
+
 class TestVoteLayer:
     def test_zero_weights_keep_clusters(self):
         rng = np.random.default_rng(4)
@@ -148,7 +175,6 @@ class TestVoteLayer:
             positions=rng.uniform(-1, 1, size=(5, 3)),
             per_scale=[],
             aggregated=T.Tensor(rng.normal(size=(5, 4))),
-            indices=np.arange(5),
         )
         vote = T.MlpParams(
             layers=[T.LinearParams(T.Tensor(np.zeros((3, 4))), T.Tensor(np.zeros((1, 3))))],
@@ -164,7 +190,6 @@ class TestVoteLayer:
             positions=rng.uniform(-1, 1, size=(4, 3)),
             per_scale=[],
             aggregated=T.Tensor(rng.normal(size=(4, 2))),
-            indices=np.arange(4),
         )
         vote = T.MlpParams(
             layers=[
@@ -176,6 +201,12 @@ class TestVoteLayer:
         )
         candidates, _ = D.vote_layer(final, vote)
         np.testing.assert_allclose(candidates.values, final.positions + [1.0, 0.0, 0.0])
+
+
+def candidate_table(candidates, src_pos, radius, k, seed):
+    """The aggregation table model_forward draws: candidate i anchored to source row i."""
+    cloud = G.PointCloud(positions=src_pos)
+    return G.ball_query(cloud, candidates.values, radius, k, seed, self_indices=np.arange(candidates.shape[0]))
 
 
 class TestCandidateAggregation:
@@ -191,9 +222,8 @@ class TestCandidateAggregation:
             layers=[T.LinearParams(T.Tensor(np.eye(4)), T.Tensor(np.zeros((1, 4))))],
             final_relu=False,
         )
-        out, table = D.candidate_aggregation(
-            candidates, src_pos, src_feat, radius=1.0, k=3, f_mlp=f_mlp, a_mlp=a_mlp, seed=0
-        )
+        table = candidate_table(candidates, src_pos, radius=1.0, k=3, seed=0)
+        out = D.candidate_aggregation(candidates, src_pos, src_feat, table, f_mlp, a_mlp)
         assert table.indices[0, 0] == 0
         assert table.valid[0].sum() == 1
         # the isolated candidate still summarizes its origin cluster
@@ -206,10 +236,8 @@ class TestCandidateAggregation:
         cand_np = src_pos[:4] + rng.normal(scale=0.2, size=(4, 3))
         f_mlp = T.init_mlp([5, 6], rng, final_relu=True)
         a_mlp = T.init_mlp([6, 4], rng, final_relu=True)
-        out, table = D.candidate_aggregation(
-            T.Tensor(cand_np), src_pos, T.Tensor(src_feat_np),
-            radius=2.0, k=5, f_mlp=f_mlp, a_mlp=a_mlp, seed=1,
-        )
+        table = candidate_table(T.Tensor(cand_np), src_pos, radius=2.0, k=5, seed=1)
+        out = D.candidate_aggregation(T.Tensor(cand_np), src_pos, T.Tensor(src_feat_np), table, f_mlp, a_mlp)
         for i in range(4):
             best = np.full(6, -np.inf)
             for slot in range(5):
@@ -229,15 +257,10 @@ class TestCandidateAggregation:
         cand = T.Tensor(src_pos[:3] + rng.normal(scale=0.05, size=(3, 3)))
         f_mlp = T.init_mlp([4, 5], rng)
         a_mlp = T.init_mlp([5, 3], rng)
-        _, table = D.candidate_aggregation(
-            cand, src_pos, src_feat, radius=1.5, k=4, f_mlp=f_mlp, a_mlp=a_mlp, seed=2
-        )
+        table = candidate_table(cand, src_pos, radius=1.5, k=4, seed=2)
 
         def f():
-            out, _ = D.candidate_aggregation(
-                cand, src_pos, src_feat, radius=1.5, k=4,
-                f_mlp=f_mlp, a_mlp=a_mlp, seed=2, frozen_table=table,
-            )
+            out = D.candidate_aggregation(cand, src_pos, src_feat, table, f_mlp, a_mlp)
             return T.mean_all(T.mul(out, out))
 
         assert T.grad_check(f, [cand] + f_mlp.tensors(), eps=1e-5) < 1e-4

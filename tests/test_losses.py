@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -327,5 +329,5 @@ class TestTotalLoss:
         breakdown, _, _ = L.compute_loss(
             raw, offsets, T.Tensor(candidates), clusters, [(box, 1)], config
         )
-        for value in breakdown.as_dict().values():
+        for value in dataclasses.asdict(breakdown).values():
             assert value >= 0.0

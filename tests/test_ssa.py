@@ -37,16 +37,20 @@ def naive_sfa(positions, feats, cluster_indices, table, mlp):
     return out
 
 
+def ball_table(positions, cluster_indices, radius, k, seed):
+    """The neighbor table ssa_forward draws for one scale."""
+    cloud = G.PointCloud(positions=positions)
+    return G.ball_query(cloud, positions[cluster_indices], radius, k, seed, self_indices=cluster_indices)
+
+
 class TestSetFeatureAbstraction:
     def test_identity_on_coords_hand_case(self):
         positions = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         feats = T.Tensor(np.zeros((3, 0)))
         # single linear layer that passes the relative coordinates through
         f_mlp = identity_mlp(3)
-        scale = S.ScaleConfig(radius=5.0, k=3, mlp=[3])
-        pooled, table = S.set_feature_abstraction(
-            positions, feats, np.array([0]), scale, f_mlp, seed=0
-        )
+        table = ball_table(positions, np.array([0]), radius=5.0, k=3, seed=0)
+        pooled = S.set_feature_abstraction(positions, feats, np.array([0]), table, f_mlp)
         assert table.valid[0].all()
         np.testing.assert_array_equal(pooled.values, [[1.0, 2.0, 0.0]])
 
@@ -54,10 +58,8 @@ class TestSetFeatureAbstraction:
         positions = np.array([[0.0, 0.0, 0.0], [50.0, 0.0, 0.0]])
         feats = T.Tensor(np.array([[3.0], [7.0]]))
         f_mlp = identity_mlp(4)
-        scale = S.ScaleConfig(radius=1.0, k=4, mlp=[4])
-        pooled, table = S.set_feature_abstraction(
-            positions, feats, np.array([0]), scale, f_mlp, seed=0
-        )
+        table = ball_table(positions, np.array([0]), radius=1.0, k=4, seed=0)
+        pooled = S.set_feature_abstraction(positions, feats, np.array([0]), table, f_mlp)
         assert table.valid[0].sum() == 1
         np.testing.assert_array_equal(pooled.values, [[3.0, 0.0, 0.0, 0.0]])
 
@@ -66,11 +68,9 @@ class TestSetFeatureAbstraction:
         positions = rng.uniform(-2, 2, size=(16, 3))
         feats_np = rng.normal(size=(16, 2))
         cluster_indices = np.array([1, 5, 9, 14])
-        scale = S.ScaleConfig(radius=2.0, k=5, mlp=[6, 4])
         f_mlp = T.init_mlp([5, 6, 4], rng, final_relu=True)
-        pooled, table = S.set_feature_abstraction(
-            positions, T.Tensor(feats_np), cluster_indices, scale, f_mlp, seed=3
-        )
+        table = ball_table(positions, cluster_indices, radius=2.0, k=5, seed=3)
+        pooled = S.set_feature_abstraction(positions, T.Tensor(feats_np), cluster_indices, table, f_mlp)
         expected = naive_sfa(positions, feats_np, cluster_indices, table, f_mlp)
         np.testing.assert_allclose(pooled.values, expected, rtol=0, atol=1e-12)
 
@@ -195,21 +195,13 @@ class TestSsaForward:
         feats = rng.normal(size=(20, 2))
         config = toy_config(exchange="none")
         params = S.init_ssa_params(config, in_channels=2, rng=np.random.default_rng(10))
-        out, _, decisions = S.ssa_forward(positions, T.Tensor(feats), 6, config, params, seed=1)
+        out, decisions = S.ssa_forward(positions, T.Tensor(feats), 6, config, params, seed=1)
 
         # manual abstract-then-aggregate pipeline on the same frozen decisions
-        per_scale = []
-        for si, scale in enumerate(config.scales):
-            pooled, _ = S.set_feature_abstraction(
-                positions,
-                T.Tensor(feats),
-                decisions.cluster_indices,
-                scale,
-                params.f_mlps[si],
-                seed=0,
-                table=decisions.tables[si],
-            )
-            per_scale.append(pooled)
+        per_scale = [
+            S.set_feature_abstraction(positions, T.Tensor(feats), decisions.cluster_indices, table, f_mlp)
+            for table, f_mlp in zip(decisions.tables, params.f_mlps)
+        ]
         expected = S.aggregate_scales(per_scale, params.aggregate)
         np.testing.assert_array_equal(out.aggregated.values, expected.values)
 
@@ -224,8 +216,8 @@ class TestSsaForward:
             aggregation=[4],
         )
         params = S.init_ssa_params(config, in_channels=1, rng=np.random.default_rng(12))
-        out, pairing, _ = S.ssa_forward(positions, T.Tensor(feats), 3, config, params, seed=2)
-        np.testing.assert_array_equal(np.sort(pairing.farthest), np.arange(3))
+        out, decisions = S.ssa_forward(positions, T.Tensor(feats), 3, config, params, seed=2)
+        np.testing.assert_array_equal(np.sort(decisions.pairing.farthest), np.arange(3))
         collapsed = S.cross_cluster_shift(
             out.per_scale[0],
             G.Pairing(farthest=np.arange(3)),
@@ -243,10 +235,10 @@ class TestSsaForward:
         params = S.init_ssa_params(config, in_channels=2, rng=np.random.default_rng(14))
         probe = T.Tensor(np.random.default_rng(15).normal(size=(6, config.out_channels)))
 
-        out0, _, decisions = S.ssa_forward(positions, feats, 6, config, params, seed=3)
+        out0, decisions = S.ssa_forward(positions, feats, 6, config, params, seed=3)
 
         def f():
-            out, _, _ = S.ssa_forward(
+            out, _ = S.ssa_forward(
                 positions, feats, 6, config, params, seed=3, frozen=decisions
             )
             return T.mean_all(T.mul(out.aggregated, probe))
@@ -262,7 +254,7 @@ class TestSsaForward:
         config = toy_config()
         params = S.init_ssa_params(config, in_channels=1, rng=np.random.default_rng(19))
         feats = T.Tensor(rng.normal(size=(60, 1)))
-        _, _, decisions = S.ssa_forward(positions, feats, 16, config, params, seed=6)
+        _, decisions = S.ssa_forward(positions, feats, 16, config, params, seed=6)
         cloud = G.PointCloud(positions=positions)
         centers = positions[decisions.cluster_indices]
         for si, scale in enumerate(config.scales):
@@ -281,8 +273,8 @@ class TestSsaForward:
         feats = rng.normal(size=(18, 1))
         config = toy_config()
         params = S.init_ssa_params(config, in_channels=1, rng=np.random.default_rng(17))
-        a, _, _ = S.ssa_forward(positions, T.Tensor(feats), 5, config, params, seed=4)
-        b, _, _ = S.ssa_forward(positions, T.Tensor(feats), 5, config, params, seed=4)
+        a, _ = S.ssa_forward(positions, T.Tensor(feats), 5, config, params, seed=4)
+        b, _ = S.ssa_forward(positions, T.Tensor(feats), 5, config, params, seed=4)
         assert a.aggregated.values.tobytes() == b.aggregated.values.tobytes()
 
     def test_parent_permutation_with_remapped_selections(self):
@@ -293,7 +285,7 @@ class TestSsaForward:
         feats = rng.normal(size=(15, 2))
         config = toy_config()
         params = S.init_ssa_params(config, in_channels=2, rng=np.random.default_rng(31))
-        base, _, decisions = S.ssa_forward(positions, T.Tensor(feats), 5, config, params, seed=6)
+        base, decisions = S.ssa_forward(positions, T.Tensor(feats), 5, config, params, seed=6)
 
         perm = rng.permutation(15)
         inv = np.argsort(perm)
@@ -305,7 +297,7 @@ class TestSsaForward:
             ],
             pairing=decisions.pairing,  # pairing indexes clusters, not parents
         )
-        permuted, _, _ = S.ssa_forward(
+        permuted, _ = S.ssa_forward(
             positions[perm], T.Tensor(feats[perm]), 5, config, params, seed=6, frozen=remapped
         )
         assert base.aggregated.values.tobytes() == permuted.aggregated.values.tobytes()
@@ -332,13 +324,13 @@ class TestSsaForward:
         rng_p = np.random.default_rng(19)
         cfg_cs = S.SsaConfig(exchange_op="cs", **base_cfg)
         params = S.init_ssa_params(cfg_cs, in_channels=2, rng=rng_p)
-        _, _, decisions = S.ssa_forward(positions, T.Tensor(feats_np), 2, cfg_cs, params, seed=5)
+        _, decisions = S.ssa_forward(positions, T.Tensor(feats_np), 2, cfg_cs, params, seed=5)
         # identify which cluster is in clique A
         a_row = int(np.flatnonzero(np.isin(decisions.cluster_indices, [0, 1]))[0])
         sat_b = 3 if decisions.cluster_indices[1 - a_row] != 3 else 2
 
         def run(cfg, pos):
-            out, _, _ = S.ssa_forward(pos, T.Tensor(feats_np), 2, cfg, params, seed=5, frozen=decisions)
+            out, _ = S.ssa_forward(pos, T.Tensor(feats_np), 2, cfg, params, seed=5, frozen=decisions)
             return out.aggregated.values
 
         perturbed = positions.copy()
