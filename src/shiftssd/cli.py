@@ -50,21 +50,8 @@ class _Parser(argparse.ArgumentParser):
 # config serialization (JSON keys are exactly the dataclass field names)
 
 
-def config_to_dict(obj) -> dict:
-    """JSON-ready dict of a config dataclass, nested ones included; tuples become lists."""
-
-    def plain(value):
-        if dataclasses.is_dataclass(value):
-            return config_to_dict(value)
-        if isinstance(value, (list, tuple)):
-            return [plain(v) for v in value]
-        return value
-
-    return {f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-
-
 def config_from_dict(cls, d, path: str | None = None):
-    """Inverse of config_to_dict; also decodes the field types nested in it.
+    """Inverse of dataclasses.asdict; also decodes the field types nested in it.
     A missing key takes the field default. An unknown key, a wrong type or a
     value the dataclass rejects raises ValueError naming its dotted path,
     which starts at `path` (default: the class name)."""
@@ -258,7 +245,7 @@ def cmd_gen(args) -> int:
         "objects_min": "objects_min", "objects_max": "objects_max",
     })
     out_dir = Path(args.out)
-    resolved = {"synth": config_to_dict(synth), "scenes": args.scenes}
+    resolved = {"synth": dataclasses.asdict(synth), "scenes": args.scenes}
 
     def body(writer):
         for i in range(args.scenes):
@@ -276,7 +263,7 @@ def cmd_train(args) -> int:
     model, train = _train_setup(args)
     scenes = DT.dataset(args.data)
     out_dir = Path(args.out)
-    resolved = {"model": config_to_dict(model), "train": config_to_dict(train)}
+    resolved = {"model": dataclasses.asdict(model), "train": dataclasses.asdict(train)}
 
     def body(writer):
         try:
@@ -318,7 +305,7 @@ def cmd_detect(args) -> int:
     config = _override(config, args, {"score_threshold": "score_threshold", "nms_iou": "nms_iou"})
     cloud = DT.read_cloud(args.input)
     out_path = Path(args.out)
-    resolved = {"model": config_to_dict(config)}
+    resolved = {"model": dataclasses.asdict(config)}
 
     def body(writer):
         dets = D.detect(cloud, config, params, args.seed)
@@ -337,7 +324,7 @@ def cmd_probe(args) -> int:
         scenes = scenes[: args.scenes]
     out_path = Path(args.out)
     resolved = {
-        "model": config_to_dict(config),
+        "model": dataclasses.asdict(config),
         "eps": args.eps,
         "tol": args.tol,
         "scenes": len(scenes),
@@ -382,9 +369,9 @@ def cmd_bench(args) -> int:
     scenes = DT.dataset(args.data)
     clouds = [scene.cloud for scene, _ in scenes]
     cs_cfg = model or D.default_model_config()
-    none_cfg = H._strip_exchange(cs_cfg)
+    none_cfg = D.with_stage_fields(cs_cfg, exchange_op="none")
     out_path = Path(args.out)
-    resolved = {"model": config_to_dict(cs_cfg), "repetitions": args.reps}
+    resolved = {"model": dataclasses.asdict(cs_cfg), "repetitions": args.reps}
 
     def body(writer):
         variants = [
@@ -408,22 +395,14 @@ def cmd_ablate(args) -> int:
     scenes = DT.dataset(args.data)
     axes = None if args.axis == "all" else [args.axis]
     out_path = Path(args.out)
-
-    def factory(ratio, selection, exchange):
-        stages = [
-            dataclasses.replace(cfg, shift_ratio=ratio, selection=selection, exchange_op=exchange)
-            for cfg in base.stage_ssa
-        ]
-        return dataclasses.replace(base, stage_ssa=stages)
-
     resolved = {
-        "model": config_to_dict(base),
-        "train": config_to_dict(train),
-        "axes": axes or ["ratio", "selection", "exchange"],
+        "model": dataclasses.asdict(base),
+        "train": dataclasses.asdict(train),
+        "axes": axes or list(H.ABLATION_AXES),
     }
 
     def body(writer):
-        report = H.run_ablation(scenes, factory, train, axes=axes)
+        report = H.run_ablation(scenes, base, train, axes=axes)
         writer.write(out_path, lambda tmp: H.write_ablation_csv(tmp, report))
         for cell in report.cells:
             metric = f"recall {cell.recall:.3f} loss {cell.mean_loss:.4f}" if cell.status == "ok" else cell.detail
@@ -537,7 +516,7 @@ def build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--data", type=str, required=True)
     p.add_argument("--out", type=str, required=True)
-    p.add_argument("--axis", choices=["ratio", "selection", "exchange", "all"], default="all")
+    p.add_argument("--axis", choices=[*H.ABLATION_AXES, "all"], default="all")
     p.add_argument("--epochs", type=int, default=None)
     p.set_defaults(func=cmd_ablate)
 

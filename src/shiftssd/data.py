@@ -32,6 +32,13 @@ class ClassSpec:
     mean_size: tuple[float, float, float]
     size_jitter: tuple[float, float, float]
 
+    def __post_init__(self):
+        mean, jitter = np.asarray(self.mean_size, dtype=float), np.asarray(self.size_jitter, dtype=float)
+        if not (np.isfinite(mean).all() and (mean > 0).all()):
+            raise ValueError("mean_size must be finite and positive on each axis")
+        if not (np.isfinite(jitter).all() and (jitter >= 0).all() and (jitter < mean).all()):
+            raise ValueError("size_jitter must be finite, non-negative and below mean_size on each axis")
+
 
 @dataclass
 class SynthConfig:
@@ -50,8 +57,13 @@ class SynthConfig:
     )
 
     def __post_init__(self):
-        if self.extent <= 0 or self.noise_height <= 0:
-            raise ValueError("scene extents must be positive")
+        for name in ("extent", "noise_height"):
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be finite and positive")
+        if not (np.isfinite(self.point_jitter) and self.point_jitter >= 0):
+            raise ValueError("point_jitter must be finite and non-negative")
+        if self.noise_points < 0:
+            raise ValueError("noise_points must be >= 0")
         if not self.classes:
             raise ValueError("at least one class spec required")
         if not 0 <= self.objects_min <= self.objects_max:

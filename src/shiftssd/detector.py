@@ -9,7 +9,7 @@ on plain arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -100,19 +100,21 @@ class ModelConfig:
         if not (np.isfinite(self.score_threshold) and np.isfinite(self.nms_iou)):
             raise ValueError("score_threshold and nms_iou must be finite")
 
-    @property
-    def final_channels(self) -> int:
-        return self.stage_ssa[-1].out_channels
+
+def with_stage_fields(config: ModelConfig, **fields) -> ModelConfig:
+    """A copy of config with these SsaConfig fields replaced on every stage.
+    Every variant model (the plain baseline, each ablation cell) is a base
+    config edited this way."""
+    return replace(config, stage_ssa=[replace(cfg, **fields) for cfg in config.stage_ssa])
 
 
 def default_model_config(
     num_classes: int = 2,
     anchors: list[tuple[float, float, float]] | None = None,
-    exchange_op: str = "cs",
-    selection: str = "farthest",
-    shift_ratio: float = 1.0 / 8.0,
 ) -> ModelConfig:
-    """The 512->128->64->32 toy schedule with two grouping scales per stage."""
+    """The 512->128->64->32 toy schedule with two grouping scales per stage.
+    Stages keep the SsaConfig defaults: shift ratio 1/8, farthest partner
+    selection and the cs exchange."""
     if anchors is None:
         anchors = [(4.2, 1.9, 1.6), (0.8, 0.8, 1.7)][:num_classes]
         while len(anchors) < num_classes:
@@ -124,10 +126,7 @@ def default_model_config(
                 S.ScaleConfig(radius=radii[0], k=8, mlp=widths),
                 S.ScaleConfig(radius=radii[1], k=16, mlp=widths),
             ],
-            shift_ratio=shift_ratio,
             aggregation=[2 * widths[-1]],
-            exchange_op=exchange_op,
-            selection=selection,
         )
 
     return ModelConfig(

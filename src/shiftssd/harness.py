@@ -6,6 +6,11 @@ Training uses Adam under a one-cycle learning-rate schedule. The probe
 freezes every stochastic sampling decision and re-runs the forward pass
 with single input points displaced, so the measured influence reflects
 feature flow rather than sampling jitter.
+
+Every variant model here is a base config edited by
+`detector.with_stage_fields`: the probe's and the bench's plain variant
+sets `exchange_op="none"` on every stage, and each ablation cell sets the
+one `SsaConfig` field its axis sweeps, leaving the others as in the base.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import csv
 import logging
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,8 +32,14 @@ from . import tensor as T
 log = logging.getLogger("shiftssd")
 
 ABLATION_RATIOS = (0.0, 1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0, 1.0 / 2.0)
-ABLATION_SELECTIONS = ("farthest", "nearest", "feats_scale", "points_num")
-ABLATION_EXCHANGES = ("none", "concat", "avg", "attn", "cs")
+# ablation axis -> (the SsaConfig field it sets on every stage, its values in sweep order)
+ABLATION_AXES = {
+    "ratio": ("shift_ratio", ABLATION_RATIOS),
+    "selection": ("selection", S.SELECTION_STRATEGIES),
+    "exchange": ("exchange_op", S.EXCHANGE_OPS),
+}
+# a ground-truth box counts as recalled by a detection at this IoU3D or above
+RECALL_IOU = 0.5
 
 
 @dataclass
@@ -50,6 +61,12 @@ class TrainConfig:
             raise ValueError("peak_lr must be finite and non-negative")
         if not 0 < self.warmup_frac < 1:
             raise ValueError("warmup_frac must lie in (0, 1)")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        for name in ("adam_eps", "div_factor", "final_div_factor"):
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be finite and positive")
 
 
 class Adam:
@@ -213,13 +230,11 @@ def write_history_csv(path, history: list[dict]) -> None:
 # evaluation
 
 
-def match_recall(
-    detections: list[D.Detection], objects: list[tuple[D.Box3D, int]], iou_threshold: float = 0.5
-) -> tuple[int, int]:
-    """Matched / total ground-truth count at the given IoU3D threshold."""
+def match_recall(detections: list[D.Detection], objects: list[tuple[D.Box3D, int]]) -> tuple[int, int]:
+    """Matched / total ground-truth count at IoU3D >= RECALL_IOU."""
     matched = 0
     for box, _ in objects:
-        if any(D.iou3d(det.box, box) >= iou_threshold for det in detections):
+        if any(D.iou3d(det.box, box) >= RECALL_IOU for det in detections):
             matched += 1
     return matched, len(objects)
 
@@ -229,14 +244,13 @@ def evaluate(
     model_config: D.ModelConfig,
     params: D.ModelParams,
     seed: int,
-    iou_threshold: float = 0.5,
 ) -> tuple[float, float]:
-    """(recall at IoU3D >= threshold, mean total loss) over the scenes."""
+    """(recall at IoU3D >= RECALL_IOU, mean total loss) over the scenes."""
     matched = total = 0
     losses = []
     for idx, (scene, _) in enumerate(scenes):
         out = D.model_forward(scene.cloud, model_config, params, scene_seed(seed, idx))
-        m, t = match_recall(D.postprocess(out, model_config), scene.objects, iou_threshold)
+        m, t = match_recall(D.postprocess(out, model_config), scene.objects)
         matched += m
         total += t
         breakdown, _, _ = L.compute_loss(
@@ -281,11 +295,6 @@ class ProbeReport:
             "qualifying": int(self.qualifying.sum()),
             "expanded_qualifying": int((self.expanded() & self.qualifying).sum()),
         }
-
-
-def _strip_exchange(config: D.ModelConfig) -> D.ModelConfig:
-    stages = [replace(cfg, exchange_op="none") for cfg in config.stage_ssa]
-    return replace(config, stage_ssa=stages)
 
 
 # Row budget of one batched probe replay: 16 copies of criterion 4's
@@ -337,7 +346,7 @@ def receptive_field_probe(
     fresh, decisions = D.backbone_forward(cloud, model_config, params, seed)
     cluster_positions = fresh[-1].positions
     del fresh  # frees its autodiff graph before the batched replays
-    variants = (model_config, _strip_exchange(model_config))
+    variants = (model_config, D.with_stage_fields(model_config, exchange_op="none"))
     n = cloud.n
 
     def final_values(config, positions, frozen):
@@ -485,23 +494,6 @@ class AblationReport:
         return [c.value for c in self.cells if c.axis == axis]
 
 
-def ablation_grid(axes: list[str] | None = None) -> list[tuple[str, object]]:
-    """(axis, value) cells; one axis varies while the others sit at the
-    defaults of ratio 1/8, farthest selection, cs exchange."""
-    axes = axes or ["ratio", "selection", "exchange"]
-    cells: list[tuple[str, object]] = []
-    for axis in axes:
-        if axis == "ratio":
-            cells.extend(("ratio", v) for v in ABLATION_RATIOS)
-        elif axis == "selection":
-            cells.extend(("selection", v) for v in ABLATION_SELECTIONS)
-        elif axis == "exchange":
-            cells.extend(("exchange", v) for v in ABLATION_EXCHANGES)
-        else:
-            raise ValueError(f"unknown ablation axis {axis!r}")
-    return cells
-
-
 def ratio_label(value: float) -> str:
     for num, den in ((0, 1), (1, 16), (1, 8), (1, 4), (1, 2)):
         if abs(value - num / den) < 1e-12:
@@ -509,19 +501,11 @@ def ratio_label(value: float) -> str:
     return f"{value:g}"
 
 
-def _run_ablation_cell(scenes, config_factory, train_config, axis, value) -> AblationCell:
-    ratio, selection, exchange = 1.0 / 8.0, "farthest", "cs"
-    if axis == "ratio":
-        ratio = float(value)
-        label = ratio_label(ratio)
-    elif axis == "selection":
-        selection = str(value)
-        label = selection
-    else:
-        exchange = str(value)
-        label = exchange
+def _run_ablation_cell(scenes, base, train_config, axis, value) -> AblationCell:
+    name = ABLATION_AXES[axis][0]
+    label = ratio_label(value) if name == "shift_ratio" else value
     try:
-        config = config_factory(ratio, selection, exchange)
+        config = D.with_stage_fields(base, **{name: value})
         result = train_toy(scenes, config, train_config)
         recall, mean_loss = evaluate(scenes, config, result.params, train_config.seed)
         log.info("ablation %s=%s recall %.3f loss %.4f", axis, label, recall, mean_loss)
@@ -535,18 +519,23 @@ def _run_ablation_cell(scenes, config_factory, train_config, axis, value) -> Abl
 
 def run_ablation(
     scenes: list[tuple[DT.Scene, str]],
-    config_factory,
+    base: D.ModelConfig,
     train_config: TrainConfig,
     axes: list[str] | None = None,
 ) -> AblationReport:
-    """Train one cell per grid entry with identical seed and budget.
-
-    config_factory(shift_ratio, selection, exchange_op) must return a
-    ModelConfig. Cell failures are recorded and the sweep continues.
+    """Train one cell per value of each axis in ABLATION_AXES (default: all),
+    with identical seed and budget. A cell's model is base with the axis's
+    SsaConfig field set to the value on every stage; the other fields keep
+    base's values. Cell failures are recorded and the sweep continues.
     """
+    axes = axes or list(ABLATION_AXES)
+    for axis in axes:
+        if axis not in ABLATION_AXES:
+            raise ValueError(f"unknown ablation axis {axis!r}")
     cells = [
-        _run_ablation_cell(scenes, config_factory, train_config, axis, value)
-        for axis, value in ablation_grid(axes)
+        _run_ablation_cell(scenes, base, train_config, axis, value)
+        for axis in axes
+        for value in ABLATION_AXES[axis][1]
     ]
     return AblationReport(cells=cells)
 
@@ -652,8 +641,9 @@ def gradcheck_detector(seed: int, eps: float = 1e-5) -> float:
         params = D.init_model_params(model, seed=G.derive_seed(seed, 42, offset))
         fwd_seed = G.derive_seed(seed, 43, offset)
         out = D.model_forward(scene.cloud, model, params, fwd_seed)
-        targets = L.assign_targets(
-            out.candidates.values, out.stages[-1].positions, scene.objects
+        _, _, targets = L.compute_loss(
+            out.raw, out.offsets, out.candidates, out.stages[-1].positions,
+            scene.objects, model,
         )
         if targets.positive.any():
             break

@@ -56,7 +56,6 @@ def point_in_box(point: np.ndarray, box: Box3D) -> bool:
 
 
 def assign_targets(
-    candidates: np.ndarray,
     cluster_positions: np.ndarray,
     objects: list[tuple[Box3D, int]],
     margin: float = 0.0,
@@ -72,7 +71,7 @@ def assign_targets(
     just beside a sparse object. The vote target points from the cluster
     to the box center; box regression applies at the candidate.
     """
-    m = candidates.shape[0]
+    m = cluster_positions.shape[0]
     positive = np.zeros(m, dtype=bool)
     class_ids = np.zeros(m, dtype=np.int64)
     boxes: list[Box3D | None] = [None] * m
@@ -282,9 +281,7 @@ def compute_loss(
     config: ModelConfig,
 ) -> tuple[LossBreakdown, T.Tensor, TargetSet]:
     """Assemble the full objective for one scene's forward pass."""
-    targets = assign_targets(
-        candidates.values, cluster_positions, objects, margin=config.assign_margin
-    )
+    targets = assign_targets(cluster_positions, objects, margin=config.assign_margin)
     off = offset_loss(offsets, targets)
     cls = cls_loss(raw.cls_logits, targets.class_ids)
     loc, size, angle, corner = box_loss(raw, candidates, targets, config)

@@ -19,7 +19,7 @@ import numpy as np
 from . import geometry as G
 from . import tensor as T
 
-EXCHANGE_OPS = ("cs", "none", "concat", "avg", "attn")
+EXCHANGE_OPS = ("none", "concat", "avg", "attn", "cs")
 SELECTION_STRATEGIES = ("farthest", "nearest", "feats_scale", "points_num")
 
 

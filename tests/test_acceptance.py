@@ -211,8 +211,8 @@ def test_criterion_5_negligible_overhead():
         start = time.monotonic()
         synth = DT.SynthConfig()
         anchors = [tuple(c.mean_size) for c in synth.classes]
-        cfg_cs = D.default_model_config(anchors=anchors, exchange_op="cs")
-        cfg_none = D.default_model_config(anchors=anchors, exchange_op="none")
+        cfg_cs = D.default_model_config(anchors=anchors)
+        cfg_none = D.with_stage_fields(cfg_cs, exchange_op="none")
         clouds = [
             DT.generate_scene(synth, seed=G.derive_seed(SEED_FAMILY, 50, i)).cloud
             for i in range(2)
@@ -393,37 +393,36 @@ def test_criterion_8_ablation_scaffold():
             for i in range(2)
         ]
 
-        def factory(ratio, selection, exchange):
-            def stage(radii, width, agg):
-                return S.SsaConfig(
-                    scales=[
-                        S.ScaleConfig(radius=radii[0], k=4, mlp=[width]),
-                        S.ScaleConfig(radius=radii[1], k=8, mlp=[width]),
-                    ],
-                    shift_ratio=ratio,
-                    aggregation=[agg],
-                    exchange_op=exchange,
-                    selection=selection,
-                )
-
-            return D.ModelConfig(
-                stage_points=(24, 8),
-                stage_ssa=[stage((1.2, 2.4), 8, 12), stage((2.0, 4.0), 12, 16)],
-                num_classes=2,
-                anchors=[(2.0, 1.2, 1.0), (0.8, 0.8, 1.6)],
-                vote_hidden=[12],
-                agg_radius=3.0,
-                agg_k=8,
-                agg_f=[16],
-                agg_a=[16],
-                head_hidden=[12],
-                angle_bins=4,
-                score_threshold=0.2,
+        def stage(radii, width, agg):
+            return S.SsaConfig(
+                scales=[
+                    S.ScaleConfig(radius=radii[0], k=4, mlp=[width]),
+                    S.ScaleConfig(radius=radii[1], k=8, mlp=[width]),
+                ],
+                shift_ratio=1.0 / 8.0,
+                aggregation=[agg],
+                exchange_op="cs",
+                selection="farthest",
             )
 
+        base = D.ModelConfig(
+            stage_points=(24, 8),
+            stage_ssa=[stage((1.2, 2.4), 8, 12), stage((2.0, 4.0), 12, 16)],
+            num_classes=2,
+            anchors=[(2.0, 1.2, 1.0), (0.8, 0.8, 1.6)],
+            vote_hidden=[12],
+            agg_radius=3.0,
+            agg_k=8,
+            agg_f=[16],
+            agg_a=[16],
+            head_hidden=[12],
+            angle_bins=4,
+            score_threshold=0.2,
+        )
+
         train = H.TrainConfig(epochs=2, peak_lr=0.005, seed=8)
-        first = H.run_ablation(scenes, factory, train)
-        second = H.run_ablation(scenes, factory, train)
+        first = H.run_ablation(scenes, base, train)
+        second = H.run_ablation(scenes, base, train)
 
         assert first.axis_values("ratio") == ["0", "1/16", "1/8", "1/4", "1/2"]
         assert first.axis_values("selection") == [

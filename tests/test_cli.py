@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import platform
@@ -120,12 +121,23 @@ class TestUsage:
             (lambda c: c["model"]["stage_ssa"][0].update(r_prime=float("nan")), "model.stage_ssa[0]: r_prime"),
             (lambda c: c["model"]["stage_ssa"][0].update(candidate_k=0), "model.stage_ssa[0]: candidate_k"),
             (lambda c: c["model"]["stage_ssa"][1].update(aggregation=[0]), "model.stage_ssa[1]: aggregation"),
+            (lambda c: c["train"].update(beta1=1.0), "train: beta1"),
+            (lambda c: c["train"].update(beta2=1.5), "train: beta2"),
+            (lambda c: c["train"].update(adam_eps=0), "train: adam_eps"),
+            (lambda c: c["train"].update(div_factor=0), "train: div_factor"),
+            (lambda c: c["train"].update(final_div_factor=-1), "train: final_div_factor"),
+            (lambda c: c["synth"].update(noise_height=float("inf")), "synth: noise_height"),
+            (lambda c: c["synth"].update(point_jitter=-1), "synth: point_jitter"),
+            (lambda c: c["synth"]["classes"][1].update(mean_size=[0.6, 0.0, 1.6]), "synth.classes[1]: mean_size"),
+            (lambda c: c["synth"]["classes"][0].update(size_jitter=[0.2, 1.5, 0.1]), "synth.classes[0]: size_jitter"),
         ],
         ids=[
             "rejected_value", "wrong_type", "empty_scales", "unknown_key", "tuple_length", "unknown_section",
             "zero_warmup", "nan_lr", "nan_score_threshold", "agg_k_0", "agg_radius_negative", "agg_f_empty",
             "agg_a_width_0", "scale_width_0", "stage_points_0", "scale_radius_nan", "r_prime_nan",
-            "candidate_k_0", "aggregation_width_0",
+            "candidate_k_0", "aggregation_width_0", "beta1_1", "beta2_above_1", "adam_eps_0", "div_factor_0",
+            "final_div_factor_negative", "noise_height_inf", "point_jitter_negative", "mean_size_0",
+            "size_jitter_above_mean",
         ],
     )
     def test_malformed_config_exits_1(self, tmp_path, small_config_file, capsys, edit, where):
@@ -156,10 +168,13 @@ class TestUsage:
             (["probe", "--model", "{ckpt}", "--data", "{data}", "--tol", "nan"], "--tol"),
             (["probe", "--model", "{ckpt}", "--data", "{data}", "--eps", "inf"], "--eps"),
             (["bench", "--data", "{data}", "--reps", 5], "--reps"),
+            (["gen", "--scenes", 1, "--extent", "nan"], "--extent"),
+            (["gen", "--scenes", 1, "--noise", -50], "--noise"),
         ],
         ids=["train_epochs_0", "train_lr_negative", "train_lr_nan", "ablate_epochs_0",
              "gen_points_10", "gen_scenes_0", "probe_scenes_negative", "detect_score_threshold_nan",
-             "gradcheck_tol_nan", "gradcheck_eps_0", "probe_tol_nan", "probe_eps_inf", "bench_reps_5"],
+             "gradcheck_tol_nan", "gradcheck_eps_0", "probe_tol_nan", "probe_eps_inf", "bench_reps_5",
+             "gen_extent_nan", "gen_noise_negative"],
     )
     def test_rejected_flag_exits_1(self, tmp_path, trained_model, capsys, argv, flag):
         data_dir, ckpt = trained_model
@@ -489,7 +504,12 @@ def model_configs(draw):
     )
 
 
-class_specs = st.builds(DT.ClassSpec, name=st.text(max_size=8), mean_size=_triple, size_jitter=_triple)
+@st.composite
+def class_specs(draw):
+    mean = draw(_triple)
+    fractions = draw(st.tuples(*[st.floats(0.0, 0.99, **_finite)] * 3))
+    jitter = tuple(m * f for m, f in zip(mean, fractions))
+    return DT.ClassSpec(name=draw(st.text(max_size=8)), mean_size=mean, size_jitter=jitter)
 
 
 @st.composite
@@ -505,7 +525,7 @@ def synth_configs(draw):
         objects_max=objects_max,
         point_jitter=draw(st.floats(0.0, 1.0, **_finite)),
         noise_height=draw(st.floats(0.1, 10.0, **_finite)),
-        classes=draw(st.lists(class_specs, min_size=1, max_size=3)),
+        classes=draw(st.lists(class_specs(), min_size=1, max_size=3)),
     )
 
 
@@ -513,8 +533,8 @@ train_configs = st.builds(
     H.TrainConfig,
     epochs=st.integers(1, 1000),
     peak_lr=st.floats(0.0, 1.0, **_finite),
-    beta1=st.floats(0.0, 1.0, **_finite),
-    beta2=st.floats(0.0, 1.0, **_finite),
+    beta1=st.floats(0.0, 1.0, exclude_max=True, **_finite),
+    beta2=st.floats(0.0, 1.0, exclude_max=True, **_finite),
     adam_eps=st.floats(1e-12, 1e-3, **_finite),
     warmup_frac=st.floats(0.01, 0.99, **_finite),
     div_factor=st.floats(1.0, 1e3, **_finite),
@@ -529,7 +549,7 @@ train_configs = st.builds(
         (S.ScaleConfig, scale_configs),
         (S.SsaConfig, ssa_configs()),
         (D.ModelConfig, model_configs()),
-        (DT.ClassSpec, class_specs),
+        (DT.ClassSpec, class_specs()),
         (DT.SynthConfig, synth_configs()),
         (H.TrainConfig, train_configs),
     ],
@@ -538,7 +558,7 @@ def test_config_round_trip(cls, configs):
     @settings(max_examples=40, deadline=None)
     @given(configs)
     def check(config):
-        decoded = cli.config_from_dict(cls, json.loads(json.dumps(cli.config_to_dict(config))))
+        decoded = cli.config_from_dict(cls, json.loads(json.dumps(dataclasses.asdict(config))))
         assert decoded == config
 
     check()

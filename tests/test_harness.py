@@ -28,17 +28,14 @@ def tiny_synth():
     )
 
 
-def tiny_factory(ratio=1 / 8, selection="farthest", exchange="cs"):
+def tiny_config():
     def stage(radii, width, agg):
         return S.SsaConfig(
             scales=[
                 S.ScaleConfig(radius=radii[0], k=4, mlp=[width]),
                 S.ScaleConfig(radius=radii[1], k=8, mlp=[width]),
             ],
-            shift_ratio=ratio,
             aggregation=[agg],
-            exchange_op=exchange,
-            selection=selection,
         )
 
     return D.ModelConfig(
@@ -80,7 +77,7 @@ class TestOneCycle:
 
 class TestTrainToy:
     def test_zero_lr_keeps_params_and_loss(self, tiny_scenes):
-        config = tiny_factory()
+        config = tiny_config()
         train_cfg = H.TrainConfig(epochs=3, peak_lr=0.0, seed=5)
         before = D.init_model_params(config, seed=5)
         snapshot = [t.values.copy() for t in before.tensors()]
@@ -91,21 +88,21 @@ class TestTrainToy:
         assert totals[0] == totals[1] == totals[2]
 
     def test_same_seed_identical_curves(self, tiny_scenes):
-        config = tiny_factory()
+        config = tiny_config()
         train_cfg = H.TrainConfig(epochs=4, peak_lr=0.005, seed=6)
         a = H.train_toy(tiny_scenes, config, train_cfg)
         b = H.train_toy(tiny_scenes, config, train_cfg)
         assert [r["total"] for r in a.history] == [r["total"] for r in b.history]
 
     def test_loss_decreases_on_overfit(self, tiny_scenes):
-        config = tiny_factory()
+        config = tiny_config()
         train_cfg = H.TrainConfig(epochs=40, peak_lr=0.01, seed=7)
         result = H.train_toy(tiny_scenes, config, train_cfg)
         assert result.final_loss < 0.8 * result.first_epoch_loss
 
     def test_single_scene_descends_in_most_windows(self, tiny_scenes):
         # seed chosen so the sampled final clusters include a positive
-        config = tiny_factory()
+        config = tiny_config()
         train_cfg = H.TrainConfig(epochs=50, peak_lr=0.01, seed=7)
         result = H.train_toy(tiny_scenes[:1], config, train_cfg)
         totals = [row["total"] for row in result.history]
@@ -114,14 +111,14 @@ class TestTrainToy:
 
     def test_failed_step_names_its_cause(self, tiny_scenes):
         # a finite failure is not worded as a non-finite loss
-        config = dataclasses.replace(tiny_factory(), stage_points=(200, 8))
+        config = dataclasses.replace(tiny_config(), stage_points=(200, 8))
         with pytest.raises(H.TrainingAborted) as caught:
             H.train_toy(tiny_scenes, config, H.TrainConfig(epochs=1, peak_lr=0.005, seed=9))
         assert str(caught.value).startswith("training step failed at epoch 0, scene scene_0000: ")
         assert "insufficient points" in str(caught.value)
 
     def test_writes_checkpoint_and_csv(self, tiny_scenes, tmp_path):
-        config = tiny_factory()
+        config = tiny_config()
         ckpt = tmp_path / "model.ckpt"
         csv_path = tmp_path / "loss.csv"
         train_cfg = H.TrainConfig(epochs=2, peak_lr=0.005, seed=8)
@@ -137,7 +134,7 @@ class TestTrainToy:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="at least one scene"):
-            H.train_toy([], tiny_factory(), H.TrainConfig(epochs=1, seed=0))
+            H.train_toy([], tiny_config(), H.TrainConfig(epochs=1, seed=0))
 
 
 class TestEvaluate:
@@ -149,7 +146,7 @@ class TestEvaluate:
         assert (matched, total) == (1, 2)
 
     def test_evaluate_runs(self, tiny_scenes):
-        config = tiny_factory()
+        config = tiny_config()
         params = D.init_model_params(config, seed=9)
         recall, mean_loss = H.evaluate(tiny_scenes, config, params, seed=9)
         assert 0.0 <= recall <= 1.0
@@ -157,7 +154,7 @@ class TestEvaluate:
 
     def test_one_forward_per_scene_same_result(self, tiny_scenes, monkeypatch):
         # the reference recipe: detect for recall, a second forward for the loss
-        config = tiny_factory()
+        config = tiny_config()
         # briefly trained and unthresholded, so recall is not trivially 0
         params = H.train_toy(tiny_scenes, config, H.TrainConfig(epochs=40, peak_lr=0.01, seed=7)).params
         config.score_threshold = 0.0
@@ -221,7 +218,7 @@ def probe_oracle(config, params, cloud, eps, tol, seed) -> H.ProbeReport:
     """The probe as one frozen replay per perturbed coordinate, each on its
     own perturbed PointCloud: the reference the batched probe must equal."""
     base_stages, decisions = D.backbone_forward(cloud, config, params, seed)
-    plain_config = H._strip_exchange(config)
+    plain_config = D.with_stage_fields(config, exchange_op="none")
 
     def final_values(cfg, positions):
         moved = PointCloud(positions=positions, features=cloud.features)
@@ -408,8 +405,8 @@ class TestTileDecisions:
 
 class TestBench:
     def test_param_delta_matches_closed_form(self, tiny_scenes):
-        cfg_cs = tiny_factory(exchange="cs")
-        cfg_none = tiny_factory(exchange="none")
+        cfg_cs = tiny_config()
+        cfg_none = D.with_stage_fields(cfg_cs, exchange_op="none")
         params_cs = D.init_model_params(cfg_cs, seed=14)
         params_none = D.init_model_params(cfg_none, seed=14)
         delta = D.count_parameters(params_cs) - D.count_parameters(params_none)
@@ -417,8 +414,8 @@ class TestBench:
         assert D.count_parameters(params_none) < D.count_parameters(params_cs)
 
     def test_bench_report(self, tiny_scenes):
-        cfg_cs = tiny_factory(exchange="cs")
-        cfg_none = tiny_factory(exchange="none")
+        cfg_cs = tiny_config()
+        cfg_none = D.with_stage_fields(cfg_cs, exchange_op="none")
         variants = [
             ("cs", cfg_cs, D.init_model_params(cfg_cs, seed=15)),
             ("none", cfg_none, D.init_model_params(cfg_none, seed=15)),
@@ -436,41 +433,67 @@ class TestBench:
 
 
 class TestAblation:
-    def test_grid_axis_values(self):
-        cells = H.ablation_grid()
-        ratios = [v for a, v in cells if a == "ratio"]
-        assert ratios == list(H.ABLATION_RATIOS)
-        selections = [v for a, v in cells if a == "selection"]
-        assert selections == list(H.ABLATION_SELECTIONS)
-        exchanges = [v for a, v in cells if a == "exchange"]
-        assert exchanges == list(H.ABLATION_EXCHANGES)
+    def test_cells_edit_the_base_config(self, tiny_scenes, monkeypatch):
+        # each cell trains base with its axis's field set on every stage, in sweep order
+        trained = []
+
+        def record(scenes, config, train_config):
+            trained.append(config)
+            raise RuntimeError("recorded")
+
+        monkeypatch.setattr(H, "train_toy", record)
+        train_cfg = H.TrainConfig(epochs=1, seed=17)
+        base = tiny_config()
+        report = H.run_ablation(tiny_scenes, base, train_cfg)
+        expected = [
+            D.with_stage_fields(base, shift_ratio=v) for v in H.ABLATION_RATIOS
+        ] + [
+            D.with_stage_fields(base, selection=v) for v in ("farthest", "nearest", "feats_scale", "points_num")
+        ] + [
+            D.with_stage_fields(base, exchange_op=v) for v in ("none", "concat", "avg", "attn", "cs")
+        ]
+        assert trained == expected
+        assert [(c.axis, c.value) for c in report.cells] == (
+            [("ratio", v) for v in ["0", "1/16", "1/8", "1/4", "1/2"]]
+            + [("selection", v) for v in ["farthest", "nearest", "feats_scale", "points_num"]]
+            + [("exchange", v) for v in ["none", "concat", "avg", "attn", "cs"]]
+        )
+
+        # the axes a sweep leaves alone keep the base's values
+        trained.clear()
+        avg_base = D.with_stage_fields(base, exchange_op="avg")
+        H.run_ablation(tiny_scenes, avg_base, train_cfg, axes=["ratio"])
+        assert [[cfg.exchange_op for cfg in c.stage_ssa] for c in trained] == [["avg", "avg"]] * 5
+        assert [c.stage_ssa[0].shift_ratio for c in trained] == list(H.ABLATION_RATIOS)
+
+    def test_unknown_axis(self, tiny_scenes):
+        with pytest.raises(ValueError, match="unknown ablation axis 'size'"):
+            H.run_ablation(tiny_scenes, tiny_config(), H.TrainConfig(epochs=1), axes=["size"])
 
     def test_ratio_labels(self):
         assert [H.ratio_label(v) for v in H.ABLATION_RATIOS] == ["0", "1/16", "1/8", "1/4", "1/2"]
 
     def test_sweep_and_reproducibility(self, tiny_scenes):
         train_cfg = H.TrainConfig(epochs=2, peak_lr=0.005, seed=17)
-
-        def factory(ratio, selection, exchange):
-            return tiny_factory(ratio=ratio, selection=selection, exchange=exchange)
-
-        a = H.run_ablation(tiny_scenes, factory, train_cfg, axes=["ratio"])
-        b = H.run_ablation(tiny_scenes, factory, train_cfg, axes=["ratio"])
+        a = H.run_ablation(tiny_scenes, tiny_config(), train_cfg, axes=["ratio"])
+        b = H.run_ablation(tiny_scenes, tiny_config(), train_cfg, axes=["ratio"])
         assert a.axis_values("ratio") == ["0", "1/16", "1/8", "1/4", "1/2"]
         for ca, cb in zip(a.cells, b.cells):
             assert ca.status == "ok"
             assert ca.recall == cb.recall
             assert ca.mean_loss == cb.mean_loss
 
-    def test_cell_failure_recorded(self, tiny_scenes):
+    def test_cell_failure_recorded(self, tiny_scenes, monkeypatch):
         train_cfg = H.TrainConfig(epochs=1, peak_lr=0.005, seed=18)
+        train_toy = H.train_toy
 
-        def factory(ratio, selection, exchange):
-            if exchange == "attn":
+        def failing_attn(scenes, config, train_config):
+            if config.stage_ssa[0].exchange_op == "attn":
                 raise RuntimeError("synthetic failure")
-            return tiny_factory(ratio=ratio, selection=selection, exchange=exchange)
+            return train_toy(scenes, config, train_config)
 
-        report = H.run_ablation(tiny_scenes, factory, train_cfg, axes=["exchange"])
+        monkeypatch.setattr(H, "train_toy", failing_attn)
+        report = H.run_ablation(tiny_scenes, tiny_config(), train_cfg, axes=["exchange"])
         by_value = {c.value: c for c in report.cells}
         assert by_value["attn"].status == "failed"
         assert "synthetic failure" in by_value["attn"].detail
@@ -478,11 +501,7 @@ class TestAblation:
 
     def test_csv_output(self, tiny_scenes, tmp_path):
         train_cfg = H.TrainConfig(epochs=1, peak_lr=0.005, seed=19)
-
-        def factory(ratio, selection, exchange):
-            return tiny_factory(ratio=ratio, selection=selection, exchange=exchange)
-
-        report = H.run_ablation(tiny_scenes, factory, train_cfg, axes=["selection"])
+        report = H.run_ablation(tiny_scenes, tiny_config(), train_cfg, axes=["selection"])
         path = tmp_path / "ablation.csv"
         H.write_ablation_csv(path, report)
         lines = path.read_text().strip().splitlines()

@@ -85,9 +85,8 @@ class TestClsLoss:
 class TestAssignTargets:
     def test_cluster_inside_box_is_positive(self):
         box = Box3D(center=[0, 0, 0], size=[2, 2, 2], yaw=0.3)
-        # cluster 0 sits inside the box even though its vote wandered off
+        # cluster 0 sits inside the box, wherever its vote lands
         targets = L.assign_targets(
-            candidates=np.array([[5.0, 0.0, 0.0], [5.0, 5.0, 5.0]]),
             cluster_positions=np.array([[0.5, 0.0, 0.0], [5.0, 5.0, 5.0]]),
             objects=[(box, 1)],
         )
@@ -203,7 +202,7 @@ class TestBoxLoss:
         self.box = Box3D(center=[1.0, 0.5, 0.2], size=[2.0, 1.2, 1.0], yaw=0.4)
         self.candidates = np.array([[1.1, 0.4, 0.1], [8.0, 8.0, 8.0]])
         self.clusters = np.array([[1.2, 0.3, 0.1], [8.0, 8.0, 8.0]])
-        self.targets = L.assign_targets(self.candidates, self.clusters, [(self.box, 1)])
+        self.targets = L.assign_targets(self.clusters, [(self.box, 1)])
         assert self.targets.positive.tolist() == [True, False]
 
     def test_perfect_prediction_all_zero(self):
