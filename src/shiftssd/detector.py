@@ -97,6 +97,13 @@ class ModelConfig:
             raise ValueError("need at least 2 angle bins")
         if self.num_classes < 1 or len(self.anchors) != self.num_classes:
             raise ValueError("one anchor size per foreground class required")
+        anchors = np.asarray(self.anchors, dtype=np.float64)
+        if not (np.isfinite(anchors).all() and (anchors > 0).all()):
+            raise ValueError("anchor sizes must be finite and positive on each axis")
+        if self.in_channels < 0:
+            raise ValueError("in_channels must be >= 0")
+        if not (np.isfinite(self.assign_margin) and self.assign_margin >= 0):
+            raise ValueError("assign_margin must be finite and non-negative")
         if not (np.isfinite(self.score_threshold) and np.isfinite(self.nms_iou)):
             raise ValueError("score_threshold and nms_iou must be finite")
 

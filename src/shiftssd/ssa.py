@@ -12,7 +12,7 @@ averages with the untouched input, and applies ReLU.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,9 +48,9 @@ class ScaleConfig:
 class SsaConfig:
     scales: list[ScaleConfig]
     shift_ratio: float = 1.0 / 8.0
-    r_prime: float | None = None  # default: 2x the largest scale radius
-    candidate_k: int | None = None  # default: largest scale's k
-    aggregation: list[int] = field(default_factory=list)
+    r_prime: float | None = None  # None: 2x the largest scale radius
+    candidate_k: int | None = None  # None: the largest scale's k
+    aggregation: list[int] = field(default_factory=list)  # []: one layer, the scales' concat width
     exchange_op: str = "cs"
     selection: str = "farthest"
 
@@ -64,23 +64,27 @@ class SsaConfig:
         if self.selection not in SELECTION_STRATEGIES:
             raise ValueError(f"unknown selection strategy {self.selection!r}")
         max_radius = max(s.radius for s in self.scales)
-        if self.r_prime is None:
-            self.r_prime = 2.0 * max_radius
-        if not (np.isfinite(self.r_prime) and self.r_prime >= max_radius):
+        if self.r_prime is not None and not (np.isfinite(self.r_prime) and self.r_prime >= max_radius):
             raise ValueError("r_prime must be finite and at least the largest scale radius")
-        if self.candidate_k is None:
-            self.candidate_k = max(s.k for s in self.scales)
-        if self.candidate_k < 1:
+        if self.candidate_k is not None and self.candidate_k < 1:
             raise ValueError("candidate_k must be >= 1")
         if min(self.aggregation, default=1) < 1:
             raise ValueError("aggregation widths must each be >= 1")
-        if not self.aggregation:
-            total = sum(s.out_channels for s in self.scales)
-            self.aggregation = [total]
+        if self.r_prime is None:
+            self.resolved()  # the derived r_prime must pass the same check (it can overflow)
+
+    def resolved(self) -> SsaConfig:
+        """A copy with every unset (None / []) derived field filled in from the scales."""
+        return replace(
+            self,
+            r_prime=2.0 * max(s.radius for s in self.scales) if self.r_prime is None else self.r_prime,
+            candidate_k=max(s.k for s in self.scales) if self.candidate_k is None else self.candidate_k,
+            aggregation=self.aggregation or [sum(s.out_channels for s in self.scales)],
+        )
 
     @property
     def out_channels(self) -> int:
-        return self.aggregation[-1]
+        return self.resolved().aggregation[-1]
 
 
 def shift_channels(ratio: float, channels: int) -> int:
@@ -160,7 +164,7 @@ def init_ssa_params(config: SsaConfig, in_channels: int, rng: np.random.Generato
         else:
             exchange.append(None)
     concat_width = sum(s.out_channels for s in config.scales)
-    aggregate = T.init_mlp([concat_width, *config.aggregation], rng, final_relu=True)
+    aggregate = T.init_mlp([concat_width, *config.resolved().aggregation], rng, final_relu=True)
     return SsaParams(f_mlps=f_mlps, exchange=exchange, aggregate=aggregate)
 
 
@@ -344,11 +348,12 @@ def ssa_forward(
     if frozen is not None:
         pairing = frozen.pairing
     else:
+        resolved = config.resolved()
         pairing = selection_variant(
             clusters,
             config.selection,
-            r_prime=config.r_prime,
-            k=config.candidate_k,
+            r_prime=resolved.r_prime,
+            k=resolved.candidate_k,
             seed=G.derive_seed(seed, 2),
             features=per_scale[0].values,
             valid_counts=tables[0].valid_counts(),

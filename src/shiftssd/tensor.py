@@ -430,7 +430,8 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
 
     def _bp(g):
         x.grad += g @ p.weight.values
-        p.weight.grad += g.T @ x.values
+        # x^T g, then transposed: OpenBLAS rounds g^T x differently per thread count
+        p.weight.grad += (x.values.T @ g).T
         p.bias.grad += g.sum(axis=0, keepdims=True)
 
     values = x.values @ p.weight.values.T + p.bias.values

@@ -119,6 +119,7 @@ class TestUsage:
             (lambda c: c["model"]["stage_ssa"][1]["scales"][0].update(radius=float("nan")),
              "model.stage_ssa[1].scales[0]: scale radius"),
             (lambda c: c["model"]["stage_ssa"][0].update(r_prime=float("nan")), "model.stage_ssa[0]: r_prime"),
+            (lambda c: c["model"]["stage_ssa"][0]["scales"][1].update(radius=1e308), "model.stage_ssa[0]: r_prime"),
             (lambda c: c["model"]["stage_ssa"][0].update(candidate_k=0), "model.stage_ssa[0]: candidate_k"),
             (lambda c: c["model"]["stage_ssa"][1].update(aggregation=[0]), "model.stage_ssa[1]: aggregation"),
             (lambda c: c["train"].update(beta1=1.0), "train: beta1"),
@@ -130,14 +131,17 @@ class TestUsage:
             (lambda c: c["synth"].update(point_jitter=-1), "synth: point_jitter"),
             (lambda c: c["synth"]["classes"][1].update(mean_size=[0.6, 0.0, 1.6]), "synth.classes[1]: mean_size"),
             (lambda c: c["synth"]["classes"][0].update(size_jitter=[0.2, 1.5, 0.1]), "synth.classes[0]: size_jitter"),
+            (lambda c: c["model"].update(in_channels=-3), "model: in_channels"),
+            (lambda c: c["model"].update(assign_margin=float("nan")), "model: assign_margin"),
+            (lambda c: c["model"]["anchors"][1].__setitem__(0, 0.0), "model: anchor sizes"),
         ],
         ids=[
             "rejected_value", "wrong_type", "empty_scales", "unknown_key", "tuple_length", "unknown_section",
             "zero_warmup", "nan_lr", "nan_score_threshold", "agg_k_0", "agg_radius_negative", "agg_f_empty",
             "agg_a_width_0", "scale_width_0", "stage_points_0", "scale_radius_nan", "r_prime_nan",
-            "candidate_k_0", "aggregation_width_0", "beta1_1", "beta2_above_1", "adam_eps_0", "div_factor_0",
+            "derived_r_prime_overflow", "candidate_k_0", "aggregation_width_0", "beta1_1", "beta2_above_1", "adam_eps_0", "div_factor_0",
             "final_div_factor_negative", "noise_height_inf", "point_jitter_negative", "mean_size_0",
-            "size_jitter_above_mean",
+            "size_jitter_above_mean", "in_channels_negative", "assign_margin_nan", "anchor_size_0",
         ],
     )
     def test_malformed_config_exits_1(self, tmp_path, small_config_file, capsys, edit, where):
@@ -288,6 +292,30 @@ class TestTrainDetect:
         ) == 0
         model, _ = cli._load_model(run_dir / "model.ckpt")
         assert model.assign_margin == 0.5
+
+    def test_checkpoint_with_resolved_defaults_detects_the_same(self, tmp_path, trained_model):
+        # older checkpoints record the derived r_prime and candidate_k explicitly
+        data_dir, ckpt = trained_model
+        header, blob = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        stages = header["meta"]["model_config"]["stage_ssa"]
+        assert [(s["r_prime"], s["candidate_k"]) for s in stages] == [(None, None)] * len(stages)
+        config = cli.config_from_dict(D.ModelConfig, header["meta"]["model_config"])
+        header["meta"]["model_config"]["stage_ssa"] = [dataclasses.asdict(c.resolved()) for c in config.stage_ssa]
+        assert [(s["r_prime"], s["candidate_k"]) for s in header["meta"]["model_config"]["stage_ssa"]] == [
+            (4.0, 8), (8.0, 8)
+        ]
+        explicit = tmp_path / "explicit.ckpt"
+        explicit.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+        outs = []
+        for model in (ckpt, explicit):
+            out = tmp_path / f"{model.stem}.jsonl"
+            assert run([
+                "detect", "--model", model, "--in", data_dir / "scene_0000.bin",
+                "--out", out, "--seed", 5, "--score-threshold", 0.0,
+            ]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] and outs[0] == outs[1]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_divergence_writes_failure_dump(self, tmp_path, trained_model, small_config_file, capsys):

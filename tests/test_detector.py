@@ -118,6 +118,15 @@ class TestBackbone:
         assert stages[1].aggregated.shape == (6, 8)
         assert stages[1].positions.shape == (6, 3)
 
+    def test_default_model_with_new_scales_runs(self):
+        # the stages' partner radius and candidate count follow the new scales
+        config = D.with_stage_fields(D.default_model_config(), scales=[S.ScaleConfig(radius=5.0, k=8, mlp=[16])])
+        assert all(cfg.resolved().r_prime == 10.0 for cfg in config.stage_ssa)
+        cloud = tiny_cloud(np.random.default_rng(4), 600)
+        params = D.init_model_params(config, seed=1)
+        out = D.model_forward(cloud, config, params, seed=2)
+        assert out.stages[-1].aggregated.shape == (32, config.stage_ssa[-1].out_channels)
+
     def test_insufficient_points(self):
         rng = np.random.default_rng(2)
         cloud = tiny_cloud(rng, 8)

@@ -1,8 +1,13 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shiftssd
 from shiftssd import data as DT
 from shiftssd import detector as D
 from shiftssd import geometry as G
@@ -135,6 +140,32 @@ class TestTrainToy:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="at least one scene"):
             H.train_toy([], tiny_config(), H.TrainConfig(epochs=1, seed=0))
+
+
+# Two default-model epochs on two 2048-point scenes; prints a digest of the
+# trained parameter bytes.
+_TRAIN_DIGEST = """
+import hashlib
+from shiftssd import data as DT, detector as D, geometry as G, harness as H
+synth = DT.SynthConfig()
+scenes = [(DT.generate_scene(synth, seed=G.derive_seed(3, 50, i)), f"scene_{i}") for i in range(2)]
+model = D.default_model_config(anchors=[tuple(c.mean_size) for c in synth.classes])
+result = H.train_toy(scenes, model, H.TrainConfig(epochs=2, peak_lr=0.01, seed=3))
+print(hashlib.sha256(b"".join(t.values.tobytes() for t in result.params.tensors())).hexdigest())
+"""
+
+
+def test_trained_bytes_independent_of_blas_threads():
+    src = str(Path(shiftssd.__file__).resolve().parents[1])
+
+    def digest(threads):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", _TRAIN_DIGEST], env=env, capture_output=True, text=True, check=True,
+        )
+        return out.stdout.strip()
+
+    assert digest(1) == digest(2)
 
 
 class TestEvaluate:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,30 @@ class TestAggregateScales:
             return T.mean_all(T.mul(out, out))
 
         assert T.grad_check(f, mlp.tensors() + [a, b], eps=1e-5) < 1e-4
+
+
+class TestSsaConfigDefaults:
+    def test_unset_fields_stay_unset(self):
+        config = S.SsaConfig(scales=[S.ScaleConfig(1.0, 4, [8]), S.ScaleConfig(2.0, 6, [5])])
+        assert (config.r_prime, config.candidate_k, config.aggregation) == (None, None, [])
+        resolved = config.resolved()
+        assert (resolved.r_prime, resolved.candidate_k, resolved.aggregation) == (4.0, 6, [13])
+        assert config.out_channels == 13
+
+    def test_replace_scales_resolves_from_new_scales(self):
+        config = S.SsaConfig(scales=[S.ScaleConfig(1.0, 4, [8])])
+        grown = replace(config, scales=[S.ScaleConfig(3.0, 4, [8])])
+        assert grown.resolved().r_prime == 6.0
+        shrunk = replace(config, scales=[S.ScaleConfig(0.5, 16, [32])]).resolved()
+        assert (shrunk.r_prime, shrunk.candidate_k, shrunk.aggregation) == (1.0, 16, [32])
+
+    def test_explicit_values_survive_replace(self):
+        config = S.SsaConfig(
+            scales=[S.ScaleConfig(1.0, 4, [8])], r_prime=2.5, candidate_k=3, aggregation=[7, 5]
+        )
+        edited = replace(config, scales=[S.ScaleConfig(0.5, 16, [32])]).resolved()
+        assert (edited.r_prime, edited.candidate_k, edited.aggregation) == (2.5, 3, [7, 5])
+        assert edited.out_channels == 5
 
 
 def toy_config(exchange="cs", selection="farthest", ratio=0.25):

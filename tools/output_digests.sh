@@ -2,20 +2,23 @@
 # Usage: tools/output_digests.sh <tree> <workdir>
 #
 # Runs a fixed-seed set of gen/train/detect/probe/ablate/gradcheck commands
-# with <tree>/src on PYTHONPATH, writing everything under <workdir> (emptied
-# first), and prints "sha256  path" for every output except run manifests.
-# gradcheck writes only a manifest, so its stdout is digested instead. Two
-# trees that compute the same results print the same lines.
+# with <tree>/src on PYTHONPATH, once at OPENBLAS_NUM_THREADS=1 and once at 2,
+# writing everything under <workdir>/threads_1 and <workdir>/threads_2
+# (<workdir> is emptied first). It prints "sha256  path" for every output of
+# the first run except run manifests. gradcheck writes only a manifest, so its
+# stdout is digested instead. Two trees that compute the same results print
+# the same lines. If the two thread counts give different bytes, it prints the
+# lines that differ and exits 1.
 set -eu
 [ $# -eq 2 ] || { echo "usage: $0 <tree> <workdir>" >&2; exit 1; }
 tree=$(cd "$1" && pwd)
 rm -rf "$2"
 mkdir -p "$2"
-cd "$2"
+work=$(cd "$2" && pwd)
 shiftssd() { PYTHONPATH="$tree/src" python3 -m shiftssd.cli "$@"; }
 
 # the 96-point two-stage layout of tests/test_cli.py
-cat > small.json <<'JSON'
+cat > "$work/small.json" <<'JSON'
 {
  "synth": {"extent": 14.0, "points_per_scene": 96, "noise_points": 48,
   "objects_min": 1, "objects_max": 2, "classes": [
@@ -33,19 +36,38 @@ cat > small.json <<'JSON'
 }
 JSON
 
-{
-  shiftssd gen --seed 11 --scenes 3 --config small.json --out small
-  shiftssd gen --seed 5 --scenes 2 --out default
-  shiftssd train --seed 11 --config small.json --data small --out run_small
-  shiftssd train --seed 7 --epochs 2 --data default --out run_default
-  shiftssd train --seed 11 --config small.json --data small --out run_diverged --lr 1e30 2>/dev/null || true
-  shiftssd detect --seed 3 --model run_small/model.ckpt --in small/scene_0000.bin \
-    --out dets_small.jsonl --score-threshold 0.0
-  shiftssd detect --seed 3 --model run_default/model.ckpt --in default/scene_0001.bin \
-    --out dets_default.jsonl --score-threshold 0.0
-  shiftssd probe --seed 2 --model run_small/model.ckpt --data small --out probe.csv
-  shiftssd ablate --seed 3 --epochs 1 --config small.json --data small --out ablate_small.csv
-  shiftssd ablate --seed 3 --epochs 1 --axis exchange --data default --out ablate_default.csv
-  shiftssd gradcheck --seed 1 --manifest gradcheck.manifest.json > gradcheck.stdout
-} > /dev/null
-find . -type f ! -name '*manifest.json' ! -name small.json | LC_ALL=C sort | xargs sha256sum
+# run_set <threads>: run every command in <workdir>/threads_<threads> and
+# write its digest list to <workdir>/threads_<threads>.sha256
+run_set() {
+  mkdir "$work/threads_$1"
+  cp "$work/small.json" "$work/threads_$1/"
+  (
+    cd "$work/threads_$1"
+    export OPENBLAS_NUM_THREADS="$1"
+    {
+      shiftssd gen --seed 11 --scenes 3 --config small.json --out small
+      shiftssd gen --seed 5 --scenes 2 --out default
+      shiftssd train --seed 11 --config small.json --data small --out run_small
+      shiftssd train --seed 7 --epochs 2 --data default --out run_default
+      shiftssd train --seed 11 --config small.json --data small --out run_diverged --lr 1e30 2>/dev/null || true
+      shiftssd detect --seed 3 --model run_small/model.ckpt --in small/scene_0000.bin \
+        --out dets_small.jsonl --score-threshold 0.0
+      shiftssd detect --seed 3 --model run_default/model.ckpt --in default/scene_0001.bin \
+        --out dets_default.jsonl --score-threshold 0.0
+      shiftssd probe --seed 2 --model run_small/model.ckpt --data small --out probe.csv
+      shiftssd ablate --seed 3 --epochs 1 --config small.json --data small --out ablate_small.csv
+      shiftssd ablate --seed 3 --epochs 1 --axis exchange --data default --out ablate_default.csv
+      shiftssd gradcheck --seed 1 --manifest gradcheck.manifest.json > gradcheck.stdout
+    } > /dev/null
+    find . -type f ! -name '*manifest.json' ! -name small.json | LC_ALL=C sort | xargs sha256sum
+  ) > "$work/threads_$1.sha256"
+}
+
+run_set 1
+run_set 2
+cat "$work/threads_1.sha256"
+if ! cmp -s "$work/threads_1.sha256" "$work/threads_2.sha256"; then
+  echo "outputs differ between OPENBLAS_NUM_THREADS=1 (<) and 2 (>):" >&2
+  diff "$work/threads_1.sha256" "$work/threads_2.sha256" | grep '^[<>]' >&2
+  exit 1
+fi
