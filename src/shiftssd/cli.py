@@ -199,6 +199,8 @@ class ManifestWriter:
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
             "outputs": [],
             "status": "running",
         }

@@ -534,6 +534,7 @@ def postprocess(out: ForwardOutput, config: ModelConfig) -> list[Detection]:
     return nms3d(dets, config.nms_iou)
 
 
+@T.no_grad()
 def detect(cloud: G.PointCloud, config: ModelConfig, params: ModelParams, seed: int) -> list[Detection]:
     """Full pipeline on one scene."""
     return postprocess(model_forward(cloud, config, params, seed), config)

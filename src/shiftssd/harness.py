@@ -239,6 +239,7 @@ def match_recall(detections: list[D.Detection], objects: list[tuple[D.Box3D, int
     return matched, len(objects)
 
 
+@T.no_grad()
 def evaluate(
     scenes: list[tuple[DT.Scene, str]],
     model_config: D.ModelConfig,
@@ -298,8 +299,9 @@ class ProbeReport:
 
 
 # Row budget of one batched probe replay: 16 copies of criterion 4's
-# 96-point scenes, 3-4x faster than one replay per coordinate for ~2 MB
-# more peak RSS, and one copy of a 2048-point cloud, as unbatched.
+# 96-point scenes, 3-4x faster than one replay per coordinate for ~1.5 MB
+# more peak RSS (replays record no graph), and one copy of a 2048-point
+# cloud, as unbatched.
 _PROBE_ROWS = 1536
 
 
@@ -326,6 +328,7 @@ def tile_decisions(decisions: list[S.SsaDecisions], n: int, copies: int) -> list
     return tiled
 
 
+@T.no_grad()
 def receptive_field_probe(
     model_config: D.ModelConfig,
     params: D.ModelParams,
@@ -345,7 +348,6 @@ def receptive_field_probe(
             raise ValueError(f"{name} must be finite and non-negative, got {value}")
     fresh, decisions = D.backbone_forward(cloud, model_config, params, seed)
     cluster_positions = fresh[-1].positions
-    del fresh  # frees its autodiff graph before the batched replays
     variants = (model_config, D.with_stage_fields(model_config, exchange_op="none"))
     n = cloud.n
 

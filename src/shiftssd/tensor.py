@@ -14,11 +14,18 @@ references its own output node (an op builds the closure first and
 hands it to the node's constructor). Nodes point only at their parents,
 so a graph is acyclic and reference counting frees it the moment its
 last reference drops, with no help from the cyclic garbage collector.
+
+Under ``no_grad()`` nodes are still checked for non-finite values but keep
+no parents or closure, so each input is freed once the caller drops it;
+``detector.detect``, ``harness.evaluate``, ``harness.receptive_field_probe``
+and ``grad_check``'s central differences run under it, training never does.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,6 +34,20 @@ import numpy as np
 
 class NonFiniteError(ValueError):
     """A value that must be finite (a tensor entry, a loss) is NaN or infinite."""
+
+
+_RECORDING = contextvars.ContextVar("shiftssd_tensor_recording", default=True)
+
+
+@contextmanager
+def no_grad():
+    """Block (or decorator) in which nodes record no graph. The flag is a
+    context variable, so other threads keep recording."""
+    token = _RECORDING.set(False)
+    try:
+        yield
+    finally:
+        _RECORDING.reset(token)
 
 
 class Tensor:
@@ -44,6 +65,8 @@ class Tensor:
             raise ValueError(f"tensor must be at most 2-D, got shape {arr.shape}")
         if arr.size and not np.isfinite(arr).all():
             raise NonFiniteError("non-finite values in tensor")
+        if not _RECORDING.get():
+            parents, backprop = (), None
         self.values = arr
         self._grad = None
         self._parents = tuple(parents)
@@ -335,7 +358,8 @@ def reduce_max(x: Tensor, group_size: int, valid) -> Tensor:
     x is (M*K)xC with rows grouped in blocks of K; valid is an MxK mask
     with at least one true entry per group. Gradient routes to the
     argmax row of each (group, channel); ties go to the smallest row
-    index inside the group. Invalid rows never win.
+    index inside the group. Invalid rows never win. Under no_grad() the
+    masked max skips the argmax; it can differ only in a tied zero's sign.
     """
     rows, c = x.shape
     if group_size < 1 or rows % group_size:
@@ -348,13 +372,16 @@ def reduce_max(x: Tensor, group_size: int, valid) -> Tensor:
         raise ValueError("reduce_max: fully-invalid group")
     grouped = x.values.reshape(m, group_size, c)
     masked = np.where(mask[:, :, None], grouped, -np.inf)
+    if not _RECORDING.get():
+        return Tensor(masked.max(axis=1))
     arg = masked.argmax(axis=1)  # (m, c); argmax picks the smallest index on ties
     out_vals = np.take_along_axis(grouped, arg[:, None, :], axis=1)[:, 0, :]
 
     def _bp(g):
         flat_rows = (np.arange(m)[:, None] * group_size + arg).ravel()
         flat_cols = np.tile(np.arange(c), m)
-        np.add.at(x.grad, (flat_rows, flat_cols), g.ravel())
+        # one argmax per (group, channel) and disjoint groups: no target repeats
+        x.grad[flat_rows, flat_cols] += g.ravel()
 
     return Tensor(out_vals, parents=(x,), backprop=_bp)
 
@@ -469,19 +496,20 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1
     analytic = [p.grad.copy() for p in params]
 
     worst = 0.0
-    for p, ana in zip(params, analytic):
-        flat = p.values.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_hi = f().item()
-            flat[i] = orig - eps
-            f_lo = f().item()
-            flat[i] = orig
-            numeric = (f_hi - f_lo) / (2.0 * eps)
-            a = ana.reshape(-1)[i]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
-            worst = max(worst, rel)
+    with no_grad():
+        for p, ana in zip(params, analytic):
+            flat = p.values.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                f_hi = f().item()
+                flat[i] = orig - eps
+                f_lo = f().item()
+                flat[i] = orig
+                numeric = (f_hi - f_lo) / (2.0 * eps)
+                a = ana.reshape(-1)[i]
+                rel = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
+                worst = max(worst, rel)
     return worst
 
 

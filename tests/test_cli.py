@@ -216,6 +216,14 @@ class TestGen:
         assert manifest["python"] == platform.python_version()
         assert manifest["numpy"] == np.__version__
 
+    def test_manifest_records_blas_threads(self, tmp_path, small_config_file, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        run(["gen", "--scenes", 1, "--out", tmp_path / "data", "--seed", 7, "--config", small_config_file])
+        manifest = json.loads((tmp_path / "data" / "manifest.json").read_text())
+        assert manifest["OPENBLAS_NUM_THREADS"] == "2"
+        assert manifest["OMP_NUM_THREADS"] is None
+
     def test_manifest_git_is_the_package_revision(self, tmp_path, small_config_file, monkeypatch):
         # the revision of the checkout the code runs from, not of the cwd
         try:

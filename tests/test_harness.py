@@ -434,6 +434,68 @@ class TestTileDecisions:
         np.testing.assert_array_equal(second.pairing.farthest, [0, 1, 2])
 
 
+def stage_bytes(stages: list[S.ClusterFeatures]) -> list[bytes]:
+    return [s.positions.tobytes() for s in stages] + [
+        t.values.tobytes() for s in stages for t in s.per_scale + [s.aggregated]
+    ]
+
+
+def detection_bytes(dets: list[D.Detection]) -> list[bytes]:
+    return [
+        d.box.center.tobytes() + d.box.size.tobytes() + np.float64([d.box.yaw, d.score, d.class_id]).tobytes()
+        for d in dets
+    ]
+
+
+def no_grad_case(name):
+    """(config, params, cloud, seed): the default model on a default
+    2048-point scene, or criterion 4's probe model on one of its scenes."""
+    if name == "default":
+        config = D.default_model_config()
+        cloud = DT.generate_scene(DT.SynthConfig(), seed=62).cloud
+        return config, D.init_model_params(config, seed=61), cloud, 63
+    config = _probe_model()
+    cloud = DT.generate_scene(criterion4_synth(), seed=G.derive_seed(4, 60, 3)).cloud
+    return config, D.init_model_params(config, seed=3), cloud, G.derive_seed(4, 61, 3)
+
+
+@pytest.mark.parametrize("name", ["default", "probe"])
+class TestNoGradForwards:
+    """A forward under no_grad() gives the bytes of a recording forward
+    (the masked max in reduce_max included) and keeps no graph."""
+
+    def test_detect_equals_recording_pipeline(self, name, monkeypatch):
+        config, params, cloud, seed = no_grad_case(name)
+        config = dataclasses.replace(config, score_threshold=0.0)
+        recorded = D.model_forward(cloud, config, params, seed)
+        assert recorded.raw.cls_logits._parents
+        seen = []
+        postprocess = D.postprocess
+        monkeypatch.setattr(D, "postprocess", lambda out, cfg: seen.append(out) or postprocess(out, cfg))
+        dets = D.detect(cloud, config, params, seed)
+        assert dets
+        assert detection_bytes(dets) == detection_bytes(postprocess(recorded, config))
+        assert [out.raw.cls_logits._parents for out in seen] == [()]
+
+    def test_backbone_and_frozen_replay_equal_recording(self, name):
+        config, params, cloud, seed = no_grad_case(name)
+        recorded, decisions = D.backbone_forward(cloud, config, params, seed)
+        with T.no_grad():
+            free, free_decisions = D.backbone_forward(cloud, config, params, seed)
+        assert stage_bytes(free) == stage_bytes(recorded)
+        assert free[-1].aggregated._parents == ()
+        np.testing.assert_array_equal(free_decisions[-1].pairing.farthest, decisions[-1].pairing.farthest)
+        # the probe's replay: three jittered copies through the tiled decisions
+        jitter = np.random.default_rng(64).normal(scale=0.05, size=(3, cloud.n, 3))
+        stacked = PointCloud((cloud.positions + jitter).reshape(-1, 3), np.tile(cloud.features, (3, 1)))
+        tiled = H.tile_decisions(decisions, cloud.n, 3)
+        for variant in (config, D.with_stage_fields(config, exchange_op="none")):
+            replay, _ = D.backbone_forward(stacked, variant, params, seed, frozen=tiled)
+            with T.no_grad():
+                free_replay, _ = D.backbone_forward(stacked, variant, params, seed, frozen=tiled)
+            assert stage_bytes(free_replay) == stage_bytes(replay)
+
+
 class TestBench:
     def test_param_delta_matches_closed_form(self, tiny_scenes):
         cfg_cs = tiny_config()

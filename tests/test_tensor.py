@@ -1,6 +1,9 @@
+import contextlib
 import gc
 import inspect
 import json
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -164,6 +167,94 @@ class TestReduceMax:
             perm_valid[i] = perm_valid[i][perm]
         permuted = T.reduce_max(T.Tensor(perm_vals.reshape(m * k, c)), k, perm_valid).values
         np.testing.assert_array_equal(base, permuted)
+
+    def test_backward_equals_add_at_oracle(self):
+        r = rng(8)
+        m, k, c = 7, 5, 4
+        vals = r.integers(0, 3, size=(m * k, c)).astype(np.float64)  # many ties
+        valid = r.random((m, k)) < 0.6
+        valid[:, 0] = True
+        valid[1, 0] = False
+        valid[1, 3] = True
+        vals[~valid.reshape(-1)] = 9.0  # padded slots hold the largest value
+        x = T.Tensor(vals)
+        x.grad = r.normal(size=vals.shape)  # a buffer already holding a gradient
+        expected = x.grad.copy()
+        g = r.normal(size=(m, c))
+        rows, cols = [], []
+        for i in range(m):
+            for j in range(c):
+                slots = [s for s in range(k) if valid[i, s]]
+                best = max(vals[i * k + s, j] for s in slots)
+                rows.append(i * k + next(s for s in slots if vals[i * k + s, j] == best))
+                cols.append(j)
+        np.add.at(expected, (np.array(rows), np.array(cols)), g.ravel())
+        T.reduce_max(x, k, valid).backward(g)
+        assert x.grad.tobytes() == expected.tobytes()
+
+
+def records_graph() -> bool:
+    a = T.Tensor([[1.0]])
+    out = T.scale(a, 2.0)
+    return out._parents == (a,) and out._backprop is not None
+
+
+class TestNoGrad:
+    def test_nodes_keep_no_parents_or_closure(self):
+        r = rng(9)
+        x = T.Tensor(r.normal(size=(6, 4)))
+        p = T.init_mlp([4, 5, 3], r)
+        valid = np.ones((3, 2), dtype=bool)
+        with T.no_grad():
+            h = T.mlp_forward(x, p)
+            out = T.reduce_max(h, 2, valid)
+        for node in (h, out):
+            assert node._parents == () and node._backprop is None
+        np.testing.assert_array_equal(out.values, T.reduce_max(T.mlp_forward(x, p), 2, valid).values)
+
+    def test_still_checks_finiteness(self):
+        with T.no_grad(), np.errstate(over="ignore"), pytest.raises(T.NonFiniteError):
+            T.exp(T.Tensor([[1000.0]]))
+
+    def test_mlp_input_freed_once_only_output_held(self):
+        r = rng(10)
+        p = T.init_mlp([4, 5, 3], r)
+
+        def input_alive(block) -> bool:
+            """Whether mlp_forward's input outlives the caller's reference
+            while the output is still held."""
+            values = r.normal(size=(6, 4))
+            ref = weakref.ref(values)
+            with block:
+                out = T.mlp_forward(T.Tensor(values), p)
+            del values
+            gc.collect()
+            assert out.shape == (6, 3)
+            return ref() is not None
+
+        assert input_alive(contextlib.nullcontext())  # a recording graph holds it
+        assert not input_alive(T.no_grad())
+
+    def test_flag_restored_after_nesting_and_exceptions(self):
+        assert records_graph()
+        with T.no_grad():
+            with T.no_grad():
+                assert not records_graph()
+            assert not records_graph()
+        assert records_graph()
+        with pytest.raises(RuntimeError), T.no_grad():
+            raise RuntimeError("inside the block")
+        assert records_graph()
+
+    def test_thread_started_inside_block_records(self):
+        seen = []
+        with T.no_grad():
+            worker = threading.Thread(target=lambda: seen.append(records_graph()))
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            assert not records_graph()
+        assert seen == [True]
 
 
 class TestAvgMin:
