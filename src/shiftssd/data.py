@@ -188,11 +188,21 @@ def read_cloud(path) -> PointCloud:
             f"{path}: byte count {len(blob)} is not a positive multiple of {_RECORD_BYTES}"
         )
     rows = np.frombuffer(blob, dtype="<f4").reshape(-1, 4).astype(np.float64)
-    return PointCloud(positions=rows[:, :3], features=rows[:, 3:4])
+    try:
+        return PointCloud(positions=rows[:, :3], features=rows[:, 3:4])
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
 # label files: JSON list of {class_id, center, size, yaw}
+
+
+def _class_id(value) -> int:
+    """A label or detection class id: a JSON integer of at least 1 (0 is background)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"class_id must be an integer >= 1, got {value!r}")
+    return value
 
 
 def write_labels(path, objects: list[tuple[Box3D, int]]) -> None:
@@ -224,7 +234,7 @@ def read_labels(path) -> list[tuple[Box3D, int]]:
             yaw = float(entry["yaw"])
             wrapped = normalize_yaw(yaw)
             box = Box3D(center=entry["center"], size=size, yaw=wrapped)
-            cls = int(entry["class_id"])
+            cls = _class_id(entry["class_id"])
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ValueError(f"{path}: label {i} malformed: {err}") from err
         if wrapped != yaw:
@@ -264,7 +274,7 @@ def read_detections(path) -> list[tuple[str, Detection]]:
             entry = json.loads(line)
             det = Detection(
                 box=Box3D(center=entry["center"], size=entry["size"], yaw=entry["yaw"]),
-                class_id=int(entry["class_id"]),
+                class_id=_class_id(entry["class_id"]),
                 score=float(entry["score"]),
             )
             scene_id = str(entry["scene_id"])

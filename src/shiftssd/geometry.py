@@ -65,7 +65,6 @@ class NeighborTable:
 
     indices: np.ndarray  # MxK int64
     valid: np.ndarray  # MxK bool
-    radius: float
 
     def valid_counts(self) -> np.ndarray:
         return self.valid.sum(axis=1)
@@ -81,13 +80,6 @@ class RadiusScan:
     d2: np.ndarray  # H float64
     centers: int  # M, the number of centers scanned
     radius: float
-
-
-@dataclass
-class Pairing:
-    """Per-cluster index of its exchange partner; pairing[i] == i means isolated."""
-
-    farthest: np.ndarray  # M int64
 
 
 def pairwise_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -263,33 +255,14 @@ def ball_query(
         picked = _floyd_subsets(counts[rows], k - 1, np.random.default_rng(seed))
         indices[rows, 1:] = point[starts[rows, None] + picked]
         valid[rows] = True
-    return NeighborTable(indices=indices, valid=valid, radius=float(radius))
-
-
-def farthest_neighbor_pairing(
-    clusters: PointCloud, r_prime: float, k: int, seed: int
-) -> Pairing:
-    """Pair each cluster with the most distant of its sampled in-range neighbors.
-
-    Candidates come from ball_query with radius r_prime; the pairing
-    falls back to the cluster itself when no other cluster lies within
-    range. Equal distances resolve to the smallest cluster index.
-    """
-    table = ball_query(
-        clusters,
-        clusters.positions,
-        radius=r_prime,
-        k=k,
-        seed=seed,
-        self_indices=np.arange(clusters.n),
-    )
-    return pairing_from_table(clusters.positions, table, mode="farthest")
+    return NeighborTable(indices=indices, valid=valid)
 
 
 def pairing_from_table(
     positions: np.ndarray, table: NeighborTable, mode: str, scores: np.ndarray | None = None
-) -> Pairing:
-    """Resolve a pairing from sampled candidates by distance or external score.
+) -> np.ndarray:
+    """Each row's partner index (M int64), its sampled candidates ranked by
+    distance or by an external score.
 
     mode 'farthest'/'nearest' ranks candidates by squared distance to
     the center; mode 'score' ranks by scores[candidate index], larger
@@ -312,4 +285,4 @@ def pairing_from_table(
     key = np.where(usable, key, -np.inf)
     best = key.max(axis=1, keepdims=True, initial=-np.inf)
     winner = np.where(usable & (key == best), cand, none).min(axis=1, initial=none)
-    return Pairing(farthest=np.where(usable.any(axis=1), winner, anchor))
+    return np.where(usable.any(axis=1), winner, anchor)

@@ -278,7 +278,7 @@ class ProbeReport:
     influential_plain: np.ndarray  # MxN bool
     composed_reach: float  # sum over stages of the largest ball radius
     pairing: np.ndarray  # final-stage pairing indices
-    qualifying: np.ndarray  # M bool, see qualifying_clusters
+    qualifying: np.ndarray  # M bool: a partner whose plain reach extends past the cluster's own
 
     def plain_containment_violations(self, input_positions: np.ndarray) -> int:
         """Influential (cluster, point) pairs beyond the composed reach, no-shift run."""
@@ -318,12 +318,8 @@ def tile_decisions(decisions: list[S.SsaDecisions], n: int, copies: int) -> list
     tiled = []
     for d in decisions:
         m = d.cluster_indices.shape[0]
-        tables = [
-            G.NeighborTable(shift(t.indices, n), np.tile(t.valid, (copies, 1)), t.radius)
-            for t in d.tables
-        ]
-        pairing = G.Pairing(farthest=shift(d.pairing.farthest, m))
-        tiled.append(S.SsaDecisions(shift(d.cluster_indices, n), tables, pairing))
+        tables = [G.NeighborTable(shift(t.indices, n), np.tile(t.valid, (copies, 1))) for t in d.tables]
+        tiled.append(S.SsaDecisions(shift(d.cluster_indices, n), tables, shift(d.pairing, m)))
         n = m
     return tiled
 
@@ -381,7 +377,7 @@ def receptive_field_probe(
     radius_plain = np.where(influential_plain, dists, 0.0).max(axis=1)
     composed_reach = sum(max(s.radius for s in cfg.scales) for cfg in model_config.stage_ssa)
 
-    pairing = decisions[-1].pairing.farthest
+    pairing = decisions[-1].pairing
     qualifying = np.zeros(m, dtype=bool)
     for i in range(m):
         j = pairing[i]
@@ -433,29 +429,34 @@ def latency_bench(
     repetitions: int,
     seed: int = 0,
 ) -> BenchReport:
-    """Wall-clock full-pipeline forward timing with two discarded warmups."""
+    """Wall-clock full-pipeline forward timing with two discarded warmups.
+
+    Every repetition times every variant, in list order on even
+    repetitions and reversed on odd ones, so the variants share one
+    time window and neither always runs first."""
     if repetitions < MIN_REPETITIONS:
         raise ValueError(f"repetitions must be >= {MIN_REPETITIONS}")
-    rows = []
-    for name, config, params in variants:
+    for _, config, params in variants:
         for cloud in clouds[:1]:  # warmup
             D.detect(cloud, config, params, seed)
             D.detect(cloud, config, params, seed)
-        samples = []
-        for rep in range(repetitions):
+    samples: list[list[float]] = [[] for _ in variants]
+    indexed = list(enumerate(variants))
+    for rep in range(repetitions):
+        for v, (_, config, params) in indexed if rep % 2 == 0 else indexed[::-1]:
             start = time.perf_counter()
             for cloud in clouds:
                 D.detect(cloud, config, params, seed + rep)
-            elapsed = (time.perf_counter() - start) / max(len(clouds), 1)
-            samples.append(elapsed * 1000.0)
-        rows.append(
-            BenchRow(
-                name=name,
-                mean_ms=float(np.mean(samples)),
-                median_ms=float(np.median(samples)),
-                param_count=D.count_parameters(params),
-            )
+            samples[v].append((time.perf_counter() - start) / max(len(clouds), 1) * 1000.0)
+    rows = [
+        BenchRow(
+            name=name,
+            mean_ms=float(np.mean(times)),
+            median_ms=float(np.median(times)),
+            param_count=D.count_parameters(params),
         )
+        for (name, _, params), times in zip(variants, samples)
+    ]
     return BenchReport(rows=rows, repetitions=repetitions)
 
 

@@ -3,8 +3,10 @@ clusters exchange partial feature channels with a distant partner.
 
 The layer runs in four steps: cluster selection by farthest point
 sampling, per-scale ball grouping with a shared MLP and masked
-max-pool, one partner pairing shared by all scales, and a per-scale
-exchange operation followed by scale aggregation. The default exchange
+max-pool, partner selection, and a per-scale exchange operation
+followed by scale aggregation. Partner selection (`selection_variant`)
+ranks one table of candidates sampled within r' of each cluster, and
+its partner index array is shared by all scales. The default exchange
 splices the first `s` channels of the partner's features into the
 cluster's own, mixes them with a two-layer MLP on a residual branch,
 averages with the untouched input, and applies ReLU.
@@ -170,11 +172,10 @@ def init_ssa_params(config: SsaConfig, in_channels: int, rng: np.random.Generato
 
 @dataclass
 class ClusterFeatures:
-    """Output of one layer: cluster positions, per-scale features, and
-    the aggregated feature matrix that feeds the next stage."""
+    """Output of one layer: cluster positions and the aggregated feature
+    matrix that feeds the next stage."""
 
     positions: np.ndarray  # Mx3
-    per_scale: list[T.Tensor]  # each MxC_r
     aggregated: T.Tensor  # MxC_a
 
 
@@ -184,7 +185,7 @@ class SsaDecisions:
 
     cluster_indices: np.ndarray
     tables: list[G.NeighborTable]
-    pairing: G.Pairing
+    pairing: np.ndarray  # M int64 partner index per cluster; pairing[i] == i means isolated
 
 
 def set_feature_abstraction(
@@ -209,7 +210,7 @@ def set_feature_abstraction(
 
 
 def cross_cluster_shift(
-    x: T.Tensor, pairing: G.Pairing, s: int, mlp2: T.MlpParams
+    x: T.Tensor, pairing: np.ndarray, s: int, mlp2: T.MlpParams
 ) -> T.Tensor:
     """Splice s partner channels into each row, mix, residual-average, ReLU.
 
@@ -219,9 +220,9 @@ def cross_cluster_shift(
     m, c = x.shape
     if not 0 <= s <= c:
         raise ValueError(f"shift channel count {s} outside [0, {c}]")
-    if pairing.farthest.shape[0] != m:
+    if pairing.shape[0] != m:
         raise ValueError("pairing length must match row count")
-    donated = T.gather_rows(T.slice_cols(x, 0, s), pairing.farthest)
+    donated = T.gather_rows(T.slice_cols(x, 0, s), pairing)
     kept = T.slice_cols(x, s, c)
     spliced = T.concat_cols([donated, kept])
     mixed = T.mlp_forward(spliced, mlp2)
@@ -229,14 +230,14 @@ def cross_cluster_shift(
 
 
 def exchange_variant(
-    x: T.Tensor, pairing: G.Pairing, variant: str, params, s: int
+    x: T.Tensor, pairing: np.ndarray, variant: str, params, s: int
 ) -> T.Tensor:
     """Apply one of the exchange operations from the ablation grid."""
     if variant == "none":
         return x
     if variant == "cs":
         return cross_cluster_shift(x, pairing, s, params)
-    foreign = T.gather_rows(x, pairing.farthest)
+    foreign = T.gather_rows(x, pairing)
     if variant == "concat":
         mixed = T.mlp_forward(T.concat_cols([foreign, x]), params)
         return T.relu(T.avg2(mixed, x))
@@ -268,37 +269,31 @@ def selection_variant(
     seed: int,
     features: np.ndarray | None = None,
     valid_counts: np.ndarray | None = None,
-) -> G.Pairing:
-    """Pick each cluster's exchange partner by one of the ablation strategies.
+) -> np.ndarray:
+    """Each cluster's exchange partner index (M int64) by one of the
+    ablation strategies; a cluster with no other candidate pairs with
+    itself.
 
-    farthest/nearest rank sampled candidates by distance; feats_scale by
-    the candidate's channel-mean feature value; points_num by how many
-    valid neighbors the candidate's own grouping found.
+    Every strategy ranks the same table: up to k - 1 candidates sampled
+    within r_prime of each cluster. farthest/nearest rank them by
+    distance; feats_scale by the candidate's channel-mean feature value;
+    points_num by how many valid neighbors the candidate's own grouping
+    found. Ties break to the smallest candidate index.
     """
     if strategy not in SELECTION_STRATEGIES:
         raise ValueError(f"unknown selection strategy {strategy!r}")
-    if strategy == "farthest":
-        return G.farthest_neighbor_pairing(clusters, r_prime=r_prime, k=k, seed=seed)
-    table = G.ball_query(
-        clusters,
-        clusters.positions,
-        radius=r_prime,
-        k=k,
-        seed=seed,
-        self_indices=np.arange(clusters.n),
-    )
-    if strategy == "nearest":
-        return G.pairing_from_table(clusters.positions, table, mode="nearest")
-    if strategy == "feats_scale":
-        if features is None:
-            raise ValueError("feats_scale selection needs cluster features")
-        scores = np.asarray(features, dtype=np.float64).mean(axis=1)
-        return G.pairing_from_table(clusters.positions, table, mode="score", scores=scores)
-    if valid_counts is None:
+    if strategy == "feats_scale" and features is None:
+        raise ValueError("feats_scale selection needs cluster features")
+    if strategy == "points_num" and valid_counts is None:
         raise ValueError("points_num selection needs per-cluster valid neighbor counts")
-    return G.pairing_from_table(
-        clusters.positions, table, mode="score", scores=np.asarray(valid_counts, dtype=np.float64)
-    )
+    table = G.ball_query(clusters, clusters.positions, r_prime, k, seed, self_indices=np.arange(clusters.n))
+    if strategy in ("farthest", "nearest"):
+        return G.pairing_from_table(clusters.positions, table, mode=strategy)
+    if strategy == "feats_scale":
+        scores = np.asarray(features, dtype=np.float64).mean(axis=1)
+    else:
+        scores = np.asarray(valid_counts, dtype=np.float64)
+    return G.pairing_from_table(clusters.positions, table, mode="score", scores=scores)
 
 
 def aggregate_scales(per_scale: list[T.Tensor], a_mlp: T.MlpParams) -> T.Tensor:
@@ -367,10 +362,6 @@ def ssa_forward(
         )
 
     aggregated = aggregate_scales(exchanged, params.aggregate)
-    out = ClusterFeatures(
-        positions=clusters.positions,
-        per_scale=per_scale,
-        aggregated=aggregated,
-    )
+    out = ClusterFeatures(positions=clusters.positions, aggregated=aggregated)
     decisions = SsaDecisions(cluster_indices=cluster_indices, tables=tables, pairing=pairing)
     return out, decisions

@@ -67,14 +67,14 @@ def test_criterion_1_sampling_oracles():
                 assert got == expected
 
             # farthest pairing with k = all: exhaustive argmax
-            pairing = G.farthest_neighbor_pairing(cloud, r_prime=radius, k=n, seed=trial)
+            pairing = S.selection_variant(cloud, "farthest", r_prime=radius, k=n, seed=trial)
             for i in range(n):
                 in_r = np.flatnonzero((d2[i] <= radius * radius) & (np.arange(n) != i))
                 if in_r.size == 0:
-                    assert pairing.farthest[i] == i
+                    assert pairing[i] == i
                 else:
                     best = d2[i, in_r].max()
-                    assert pairing.farthest[i] == in_r[d2[i, in_r] == best].min()
+                    assert pairing[i] == in_r[d2[i, in_r] == best].min()
 
         elapsed = time.monotonic() - start
         assert elapsed < 10.0, f"sampling oracle run took {elapsed:.1f}s (budget 10s)"
@@ -108,7 +108,7 @@ def test_criterion_3_shifting_semantics():
             mlp2 = T.init_mlp([c, c, c], rng, final_relu=False)
 
             # self-pairing collapse equals explicit substitution, bitwise
-            self_pairing = G.Pairing(farthest=np.arange(m))
+            self_pairing = np.arange(m)
             out = S.cross_cluster_shift(T.Tensor(x_np), self_pairing, s, mlp2)
             direct = T.relu(T.avg2(T.mlp_forward(T.Tensor(x_np), mlp2), T.Tensor(x_np)))
             assert out.values.tobytes() == direct.values.tobytes()
@@ -122,14 +122,14 @@ def test_criterion_3_shifting_semantics():
             assert out.values[i].tobytes() == out_p.values[i].tobytes()
 
             # channel-splice locality through an identity mix
-            pairing = G.Pairing(farthest=rng.integers(0, m, size=m))
+            pairing = rng.integers(0, m, size=m)
             ident = T.MlpParams(
                 layers=[T.LinearParams(T.Tensor(np.eye(c)), T.Tensor(np.zeros((1, c))))],
                 final_relu=False,
             )
             shifted = S.cross_cluster_shift(T.Tensor(x_np), pairing, s, ident)
             spliced = np.concatenate(
-                [x_np[pairing.farthest][:, :s], x_np[:, s:]], axis=1
+                [x_np[pairing][:, :s], x_np[:, s:]], axis=1
             )
             expected = np.maximum(0.0, 0.5 * (spliced + x_np))
             assert shifted.values.tobytes() == expected.tobytes()

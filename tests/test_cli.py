@@ -79,6 +79,18 @@ def small_config_file(tmp_path):
     return path
 
 
+def set_class_id(label_path, value):
+    labels = json.loads(label_path.read_text())
+    labels[0]["class_id"] = value
+    label_path.write_text(json.dumps(labels))
+
+
+def nan_first_point(cloud_path):
+    rows = np.fromfile(cloud_path, dtype="<f4")
+    rows[0] = np.nan
+    rows.tofile(cloud_path)
+
+
 class TestUsage:
     def test_unknown_flag_exits_1(self, capsys):
         assert run(["gen", "--bogus"]) == 1
@@ -97,6 +109,26 @@ class TestUsage:
         code = run(["train", "--data", missing, "--out", tmp_path / "o", "--seed", 1])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda d: set_class_id(d / "scene_0000.json", 0), "scene_0000.json: label 0 malformed: class_id"),
+            (lambda d: set_class_id(d / "scene_0000.json", 1.9), "scene_0000.json: label 0 malformed: class_id"),
+            (lambda d: set_class_id(d / "scene_0000.json", True), "scene_0000.json: label 0 malformed: class_id"),
+            (lambda d: nan_first_point(d / "scene_0000.bin"), "scene_0000.bin: non-finite positions"),
+        ],
+        ids=["class_id_0", "class_id_1.9", "class_id_true", "cloud_nan"],
+    )
+    def test_corrupt_dataset_exits_2_naming_file(self, tmp_path, small_config_file, capsys, corrupt, message):
+        data_dir, out = tmp_path / "data", tmp_path / "out"
+        assert run(["gen", "--scenes", 1, "--out", data_dir, "--seed", 11, "--config", small_config_file]) == 0
+        corrupt(data_dir)
+        capsys.readouterr()
+        code = run(["train", "--data", data_dir, "--out", out, "--seed", 1, "--config", small_config_file, "--epochs", 1])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "edit, where",

@@ -128,8 +128,27 @@ class TestCloudIO:
         with pytest.raises(ValueError, match="byte count"):
             DT.read_cloud(path)
 
+    def test_non_finite_point_names_file(self, tmp_path):
+        path = tmp_path / "nan.bin"
+        np.array([[0.0, 0.0, 0.0, 0.5], [np.nan, 1.0, 1.0, 0.5]], dtype="<f4").tofile(path)
+        with pytest.raises(ValueError, match=r"nan\.bin: non-finite positions"):
+            DT.read_cloud(path)
+
+
+# values a JSON class_id may not take: background, negative, non-integral,
+# an integral float, a bool and a string
+_BAD_CLASS_IDS = pytest.mark.parametrize("class_id", [0, -1, 1.9, 1.0, True, "1"], ids=repr)
+
 
 class TestLabelIO:
+    @_BAD_CLASS_IDS
+    def test_class_id_not_a_class_rejected(self, tmp_path, class_id):
+        path = tmp_path / "bad.json"
+        good = {"class_id": 2, "center": [0, 0, 0], "size": [1, 1, 1], "yaw": 0}
+        path.write_text(json.dumps([good, {**good, "class_id": class_id}]))
+        with pytest.raises(ValueError, match=r"bad\.json: label 1 malformed: class_id"):
+            DT.read_labels(path)
+
     def test_empty_list_round_trip(self, tmp_path):
         path = tmp_path / "labels.json"
         DT.write_labels(path, [])
@@ -240,6 +259,14 @@ class TestDetectionIO:
             assert det2.class_id == det.class_id
             assert det2.score == det.score
             np.testing.assert_array_equal(det2.box.center, det.box.center)
+
+    @_BAD_CLASS_IDS
+    def test_class_id_not_a_class_rejected(self, tmp_path, class_id):
+        entry = {"scene_id": "a", "class_id": 1, "score": 0.5, "center": [0, 0, 0], "size": [1, 1, 1], "yaw": 0.0}
+        path = tmp_path / "dets.jsonl"
+        path.write_text(json.dumps(entry) + "\n" + json.dumps({**entry, "class_id": class_id}) + "\n")
+        with pytest.raises(ValueError, match=r"dets\.jsonl: bad detection on line 2: class_id"):
+            DT.read_detections(path)
 
     def test_missing_scene_id_names_line(self, tmp_path):
         entry = {"class_id": 1, "score": 0.5, "center": [0, 0, 0], "size": [1, 1, 1], "yaw": 0.0}

@@ -182,7 +182,6 @@ class TestVoteLayer:
         rng = np.random.default_rng(4)
         final = S.ClusterFeatures(
             positions=rng.uniform(-1, 1, size=(5, 3)),
-            per_scale=[],
             aggregated=T.Tensor(rng.normal(size=(5, 4))),
         )
         vote = T.MlpParams(
@@ -197,7 +196,6 @@ class TestVoteLayer:
         rng = np.random.default_rng(5)
         final = S.ClusterFeatures(
             positions=rng.uniform(-1, 1, size=(4, 3)),
-            per_scale=[],
             aggregated=T.Tensor(rng.normal(size=(4, 2))),
         )
         vote = T.MlpParams(

@@ -151,40 +151,6 @@ class TestBallQuery:
         assert table.valid[0].sum() == 1
 
 
-class TestFarthestNeighborPairing:
-    def test_single_cluster_self(self):
-        cloud = G.PointCloud(positions=[[0.0, 0.0, 0.0]])
-        pairing = G.farthest_neighbor_pairing(cloud, r_prime=1.0, k=4, seed=0)
-        assert pairing.farthest.tolist() == [0]
-
-    def test_three_collinear(self):
-        pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        cloud = G.PointCloud(positions=pos)
-        pairing = G.farthest_neighbor_pairing(cloud, r_prime=3.0, k=3, seed=0)
-        assert pairing.farthest[0] == 2
-        assert pairing.farthest[2] == 0
-
-    def test_k_all_matches_exhaustive_argmax(self):
-        rng = np.random.default_rng(11)
-        cloud = random_cloud(rng, 32, extent=4.0)
-        r_prime = 5.0
-        pairing = G.farthest_neighbor_pairing(cloud, r_prime=r_prime, k=32, seed=4)
-        d2 = G.pairwise_sq_dist(cloud.positions, cloud.positions)
-        for i in range(32):
-            in_r = np.flatnonzero((d2[i] <= r_prime * r_prime) & (np.arange(32) != i))
-            if in_r.size == 0:
-                assert pairing.farthest[i] == i
-            else:
-                best = d2[i, in_r].max()
-                assert pairing.farthest[i] == in_r[d2[i, in_r] == best].min()
-
-    def test_out_of_range_isolation(self):
-        pos = np.array([[0.0, 0.0, 0.0], [50.0, 0.0, 0.0]])
-        cloud = G.PointCloud(positions=pos)
-        pairing = G.farthest_neighbor_pairing(cloud, r_prime=1.0, k=2, seed=0)
-        assert pairing.farthest.tolist() == [0, 1]
-
-
 def scan_rows(cloud, centers, radius):
     """The radius scan's hits as one ascending index array per center."""
     scan = G.radius_scan(cloud, centers, radius)
@@ -394,7 +360,7 @@ class TestOracles:
             for mode in ("farthest", "nearest", "score"):
                 got = G.pairing_from_table(cloud.positions, table, mode, scores=scores)
                 expected = reference_pairing(cloud.positions, table, mode, scores=scores)
-                np.testing.assert_array_equal(got.farthest, expected)
+                np.testing.assert_array_equal(got, expected)
             usable = table.valid[:, 1:]
             key = np.where(usable, scores[table.indices[:, 1:]], -1.0)
             shared = (key == key.max(axis=1, keepdims=True, initial=-1.0)) & usable
@@ -403,13 +369,11 @@ class TestOracles:
 
     def test_tie_goes_to_smallest_index_not_first_slot(self):
         pos = np.array([[0.0, 0.0, 0.0], [9.0, 9.0, 9.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        table = G.NeighborTable(
-            indices=np.array([[0, 3, 2]]), valid=np.ones((1, 3), dtype=bool), radius=2.0
-        )
+        table = G.NeighborTable(indices=np.array([[0, 3, 2]]), valid=np.ones((1, 3), dtype=bool))
         for mode in ("farthest", "nearest"):
-            assert G.pairing_from_table(pos, table, mode).farthest.tolist() == [2]
+            assert G.pairing_from_table(pos, table, mode).tolist() == [2]
         scores = np.array([0.0, 0.0, 5.0, 5.0])
-        assert G.pairing_from_table(pos, table, "score", scores=scores).farthest.tolist() == [2]
+        assert G.pairing_from_table(pos, table, "score", scores=scores).tolist() == [2]
 
     def test_dfps_matches_reference(self):
         rng = np.random.default_rng(19)

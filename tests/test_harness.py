@@ -275,7 +275,7 @@ def probe_oracle(config, params, cloud, eps, tol, seed) -> H.ProbeReport:
     dists = np.sqrt(G.pairwise_sq_dist(cluster_positions, cloud.positions))
     radius_shift = np.where(influential_shift, dists, 0.0).max(axis=1)
     radius_plain = np.where(influential_plain, dists, 0.0).max(axis=1)
-    pairing = decisions[-1].pairing.farthest
+    pairing = decisions[-1].pairing
     qualifying = np.zeros(m, dtype=bool)
     for i in range(m):
         j = pairing[i]
@@ -409,35 +409,28 @@ class TestTileDecisions:
             # OpenBLAS picks its kernel by matrix size, and its small-matrix
             # kernel rounds differently, so a stacked row may differ from its
             # single replay in the last bits
-            for a, b in zip(many.per_scale + [many.aggregated], zip(*[o.per_scale + [o.aggregated] for o in ones])):
-                expected = np.concatenate([x.values for x in b])
-                np.testing.assert_allclose(a.values, expected, rtol=1e-12, atol=1e-12)
+            expected = np.concatenate([o.aggregated.values for o in ones])
+            np.testing.assert_allclose(many.aggregated.values, expected, rtol=1e-12, atol=1e-12)
 
     def test_offsets_per_copy(self):
-        table = G.NeighborTable(
-            indices=np.array([[0, 2], [3, 3]]), valid=np.array([[True, True], [True, False]]), radius=1.5
-        )
+        table = G.NeighborTable(indices=np.array([[0, 2], [3, 3]]), valid=np.array([[True, True], [True, False]]))
         decisions = [
-            S.SsaDecisions(np.array([0, 3]), [table], G.Pairing(np.array([1, 1]))),
-            S.SsaDecisions(np.array([1]), [G.NeighborTable(np.array([[1, 0]]), np.ones((1, 2), bool), 2.0)],
-                           G.Pairing(np.array([0]))),
+            S.SsaDecisions(np.array([0, 3]), [table], np.array([1, 1])),
+            S.SsaDecisions(np.array([1]), [G.NeighborTable(np.array([[1, 0]]), np.ones((1, 2), bool))], np.array([0])),
         ]
         first, second = H.tile_decisions(decisions, n=5, copies=3)
         np.testing.assert_array_equal(first.cluster_indices, [0, 3, 5, 8, 10, 13])
         np.testing.assert_array_equal(first.tables[0].indices, [[0, 2], [3, 3], [5, 7], [8, 8], [10, 12], [13, 13]])
         np.testing.assert_array_equal(first.tables[0].valid, np.tile(table.valid, (3, 1)))
-        assert first.tables[0].radius == 1.5
-        np.testing.assert_array_equal(first.pairing.farthest, [1, 1, 3, 3, 5, 5])
+        np.testing.assert_array_equal(first.pairing, [1, 1, 3, 3, 5, 5])
         # stage 1 indexes stage 0's two clusters per copy and pairs within its own one
         np.testing.assert_array_equal(second.cluster_indices, [1, 3, 5])
         np.testing.assert_array_equal(second.tables[0].indices, [[1, 0], [3, 2], [5, 4]])
-        np.testing.assert_array_equal(second.pairing.farthest, [0, 1, 2])
+        np.testing.assert_array_equal(second.pairing, [0, 1, 2])
 
 
 def stage_bytes(stages: list[S.ClusterFeatures]) -> list[bytes]:
-    return [s.positions.tobytes() for s in stages] + [
-        t.values.tobytes() for s in stages for t in s.per_scale + [s.aggregated]
-    ]
+    return [s.positions.tobytes() for s in stages] + [s.aggregated.values.tobytes() for s in stages]
 
 
 def detection_bytes(dets: list[D.Detection]) -> list[bytes]:
@@ -484,7 +477,7 @@ class TestNoGradForwards:
             free, free_decisions = D.backbone_forward(cloud, config, params, seed)
         assert stage_bytes(free) == stage_bytes(recorded)
         assert free[-1].aggregated._parents == ()
-        np.testing.assert_array_equal(free_decisions[-1].pairing.farthest, decisions[-1].pairing.farthest)
+        np.testing.assert_array_equal(free_decisions[-1].pairing, decisions[-1].pairing)
         # the probe's replay: three jittered copies through the tiled decisions
         jitter = np.random.default_rng(64).normal(scale=0.05, size=(3, cloud.n, 3))
         stacked = PointCloud((cloud.positions + jitter).reshape(-1, 3), np.tile(cloud.features, (3, 1)))
@@ -523,6 +516,28 @@ class TestBench:
     def test_too_few_reps(self):
         with pytest.raises(ValueError):
             H.latency_bench([], [], repetitions=3)
+
+    def test_variants_alternate_within_each_repetition(self, monkeypatch):
+        # a fake clock that each detect advances by its variant's cost
+        calls, clock = [], [0.0]
+        cost = {"a": 0.003, "b": 0.001}
+
+        def detect(cloud, config, params, seed):
+            calls.append((config, cloud, seed))
+            clock[0] += cost[config]
+            return []
+
+        monkeypatch.setattr(D, "detect", detect)
+        monkeypatch.setattr(D, "count_parameters", lambda params: params)
+        monkeypatch.setattr(H.time, "perf_counter", lambda: clock[0])
+        report = H.latency_bench([("a", "a", 1), ("b", "b", 2)], ["x", "y"], repetitions=10, seed=5)
+        warmups = [("a", "x", 5)] * 2 + [("b", "x", 5)] * 2
+        timed = [(v, c, 5 + rep) for rep in range(10) for v in ("ab" if rep % 2 == 0 else "ba") for c in "xy"]
+        assert calls == warmups + timed
+        rows = report.by_name()
+        assert (rows["a"].median_ms, rows["b"].median_ms) == pytest.approx((3.0, 1.0))
+        assert (rows["a"].mean_ms, rows["b"].mean_ms) == pytest.approx((3.0, 1.0))
+        assert (rows["a"].param_count, rows["b"].param_count) == (1, 2)
 
 
 class TestAblation:

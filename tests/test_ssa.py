@@ -82,7 +82,7 @@ class TestCrossClusterShift:
         rng = np.random.default_rng(1)
         x_np = rng.normal(size=(6, 8))
         mlp2 = T.init_mlp([8, 8, 8], rng, final_relu=False)
-        pairing = G.Pairing(farthest=np.arange(6))
+        pairing = np.arange(6)
         out = S.cross_cluster_shift(T.Tensor(x_np), pairing, s=2, mlp2=mlp2)
         # explicit substitution x_f := x_i gives the same splice input
         direct = T.relu(T.avg2(T.mlp_forward(T.Tensor(x_np), mlp2), T.Tensor(x_np)))
@@ -92,7 +92,7 @@ class TestCrossClusterShift:
         rng = np.random.default_rng(2)
         x_np = rng.normal(size=(5, 6))
         mlp2 = T.init_mlp([6, 6, 6], rng, final_relu=False)
-        pairing = G.Pairing(farthest=np.arange(5))
+        pairing = np.arange(5)
         base = S.cross_cluster_shift(T.Tensor(x_np), pairing, s=1, mlp2=mlp2).values
         perturbed = x_np.copy()
         perturbed[3] += 10.0
@@ -103,23 +103,23 @@ class TestCrossClusterShift:
     def test_identity_mlp_full_shift_averages(self):
         rng = np.random.default_rng(3)
         x_np = np.abs(rng.normal(size=(4, 3)))  # non-negative keeps ReLU inert
-        pairing = G.Pairing(farthest=np.array([1, 2, 3, 0]))
+        pairing = np.array([1, 2, 3, 0])
         out = S.cross_cluster_shift(T.Tensor(x_np), pairing, s=3, mlp2=identity_mlp(3))
-        expected = 0.5 * (x_np[pairing.farthest] + x_np)
+        expected = 0.5 * (x_np[pairing] + x_np)
         np.testing.assert_allclose(out.values, expected, atol=1e-15)
 
     def test_channel_splice_locality(self):
         rng = np.random.default_rng(4)
         x_np = rng.normal(size=(5, 6))
-        pairing = G.Pairing(farthest=np.array([2, 0, 4, 1, 3]))
+        pairing = np.array([2, 0, 4, 1, 3])
         s = 2
-        donated = T.gather_rows(T.slice_cols(T.Tensor(x_np), 0, s), pairing.farthest)
+        donated = T.gather_rows(T.slice_cols(T.Tensor(x_np), 0, s), pairing)
         kept = T.slice_cols(T.Tensor(x_np), s, 6)
         spliced = T.concat_cols([donated, kept]).values
         for i in range(5):
             for c in range(6):
                 if c < s:
-                    assert spliced[i, c] == x_np[pairing.farthest[i], c]
+                    assert spliced[i, c] == x_np[pairing[i], c]
                 else:
                     assert spliced[i, c] == x_np[i, c]
 
@@ -127,11 +127,11 @@ class TestCrossClusterShift:
         rng = np.random.default_rng(5)
         x_np = rng.normal(size=(7, 5))
         mlp2 = T.init_mlp([5, 5, 5], rng, final_relu=False)
-        pairing = G.Pairing(farthest=rng.integers(0, 7, size=7))
+        pairing = rng.integers(0, 7, size=7)
         s = 2
         out = S.cross_cluster_shift(T.Tensor(x_np), pairing, s=s, mlp2=mlp2).values
         for i in range(7):
-            spliced = np.concatenate([x_np[pairing.farthest[i], :s], x_np[i, s:]])
+            spliced = np.concatenate([x_np[pairing[i], :s], x_np[i, s:]])
             mixed = naive_mlp(spliced, mlp2)
             expected = np.maximum(0.0, 0.5 * (mixed + x_np[i]))
             np.testing.assert_allclose(out[i], expected, atol=1e-12)
@@ -139,7 +139,7 @@ class TestCrossClusterShift:
     def test_s_out_of_range(self):
         x = T.Tensor(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="shift channel count"):
-            S.cross_cluster_shift(x, G.Pairing(farthest=np.zeros(2, dtype=int)), 4, identity_mlp(3))
+            S.cross_cluster_shift(x, np.zeros(2, dtype=int), 4, identity_mlp(3))
 
     def test_shift_channels_rounding(self):
         assert S.shift_channels(1 / 8, 16) == 2
@@ -243,10 +243,13 @@ class TestSsaForward:
         )
         params = S.init_ssa_params(config, in_channels=1, rng=np.random.default_rng(12))
         out, decisions = S.ssa_forward(positions, T.Tensor(feats), 3, config, params, seed=2)
-        np.testing.assert_array_equal(np.sort(decisions.pairing.farthest), np.arange(3))
+        np.testing.assert_array_equal(np.sort(decisions.pairing), np.arange(3))
+        scale0 = S.set_feature_abstraction(
+            positions, T.Tensor(feats), decisions.cluster_indices, decisions.tables[0], params.f_mlps[0]
+        )
         collapsed = S.cross_cluster_shift(
-            out.per_scale[0],
-            G.Pairing(farthest=np.arange(3)),
+            scale0,
+            np.arange(3),
             S.shift_channels(0.5, 4),
             params.exchange[0],
         )
@@ -318,7 +321,7 @@ class TestSsaForward:
         remapped = S.SsaDecisions(
             cluster_indices=inv[decisions.cluster_indices],
             tables=[
-                type(t)(indices=inv[t.indices], valid=t.valid.copy(), radius=t.radius)
+                type(t)(indices=inv[t.indices], valid=t.valid.copy())
                 for t in decisions.tables
             ],
             pairing=decisions.pairing,  # pairing indexes clusters, not parents
@@ -374,7 +377,7 @@ class TestExchangeVariants:
         rng = np.random.default_rng(20)
         x_np = rng.normal(size=(4, 6))
         mlp2 = T.init_mlp([6, 6, 6], rng, final_relu=False)
-        pairing = G.Pairing(farthest=np.arange(4))
+        pairing = np.arange(4)
         avg_out = S.exchange_variant(T.Tensor(x_np), pairing, "avg", mlp2, s=2)
         cs_out = S.exchange_variant(T.Tensor(x_np), pairing, "cs", mlp2, s=2)
         np.testing.assert_allclose(avg_out.values, cs_out.values, atol=1e-15)
@@ -383,14 +386,14 @@ class TestExchangeVariants:
         rng = np.random.default_rng(21)
         c = 4
         x_np = rng.normal(size=(3, c))
-        pairing = G.Pairing(farthest=np.array([1, 2, 0]))
+        pairing = np.array([1, 2, 0])
         attn = S.AttnParams(
             q=T.LinearParams(T.Tensor(np.zeros((c, c))), T.Tensor(np.zeros((1, c)))),
             k=T.LinearParams(T.Tensor(np.zeros((c, c))), T.Tensor(np.zeros((1, c)))),
             v=T.LinearParams(T.Tensor(np.eye(c)), T.Tensor(np.zeros((1, c)))),
         )
         out = S.exchange_variant(T.Tensor(x_np), pairing, "attn", attn, s=0)
-        blend = 0.5 * x_np[pairing.farthest] + 0.5 * x_np
+        blend = 0.5 * x_np[pairing] + 0.5 * x_np
         expected = np.maximum(0.0, 0.5 * (blend + x_np))
         np.testing.assert_allclose(out.values, expected, atol=1e-15)
 
@@ -399,7 +402,7 @@ class TestExchangeVariants:
         rng = np.random.default_rng(22)
         c = 4
         x = T.Tensor(rng.normal(size=(5, c)))
-        pairing = G.Pairing(farthest=rng.integers(0, 5, size=5))
+        pairing = rng.integers(0, 5, size=5)
         if variant == "attn":
             params = S.AttnParams(
                 q=T.init_linear(c, c, rng), k=T.init_linear(c, c, rng), v=T.init_linear(c, c, rng)
@@ -420,13 +423,13 @@ class TestExchangeVariants:
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="unknown exchange"):
-            S.exchange_variant(T.Tensor(np.zeros((1, 1))), G.Pairing(farthest=np.zeros(1, dtype=int)), "bogus", None, 0)
+            S.exchange_variant(T.Tensor(np.zeros((1, 1))), np.zeros(1, dtype=int), "bogus", None, 0)
 
     def test_variants_preserve_shape_and_finiteness(self):
         rng = np.random.default_rng(23)
         c = 6
         x = T.Tensor(rng.normal(size=(7, c)))
-        pairing = G.Pairing(farthest=rng.integers(0, 7, size=7))
+        pairing = rng.integers(0, 7, size=7)
         for variant in S.EXCHANGE_OPS:
             if variant == "attn":
                 params = S.AttnParams(
@@ -443,34 +446,100 @@ class TestExchangeVariants:
             assert np.isfinite(out.values).all()
 
 
+def exhaustive_farthest(positions, r_prime):
+    """Each point's farthest other point within r_prime, smallest index on
+    ties, itself when none lies in range."""
+    d2 = G.pairwise_sq_dist(positions, positions)
+    n = len(positions)
+    out = np.arange(n)
+    for i in range(n):
+        in_r = np.flatnonzero((d2[i] <= r_prime * r_prime) & (np.arange(n) != i))
+        if in_r.size:
+            out[i] = in_r[d2[i, in_r] == d2[i, in_r].max()].min()
+    return out
+
+
 class TestSelectionVariants:
     def test_two_clusters_farthest_equals_nearest(self):
         cloud = G.PointCloud(positions=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         far = S.selection_variant(cloud, "farthest", r_prime=5.0, k=2, seed=0)
         near = S.selection_variant(cloud, "nearest", r_prime=5.0, k=2, seed=0)
-        np.testing.assert_array_equal(far.farthest, near.farthest)
-        np.testing.assert_array_equal(far.farthest, [1, 0])
+        np.testing.assert_array_equal(far, near)
+        np.testing.assert_array_equal(far, [1, 0])
 
     def test_feats_scale_prefers_larger_mean(self):
         cloud = G.PointCloud(positions=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         feats = np.array([[0.0, 0.0], [10.0, 10.0], [1.0, 1.0]])
         pairing = S.selection_variant(cloud, "feats_scale", r_prime=5.0, k=3, seed=0, features=feats)
-        assert pairing.farthest[0] == 1
-        assert pairing.farthest[2] == 1
+        assert pairing[0] == 1
+        assert pairing[2] == 1
 
     def test_points_num_prefers_denser_cluster(self):
         cloud = G.PointCloud(positions=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         counts = np.array([1, 9, 2])
         pairing = S.selection_variant(cloud, "points_num", r_prime=5.0, k=3, seed=0, valid_counts=counts)
-        assert pairing.farthest[0] == 1
-        assert pairing.farthest[2] == 1
+        assert pairing[0] == 1
+        assert pairing[2] == 1
 
     def test_farthest_matches_exhaustive(self):
         rng = np.random.default_rng(24)
         cloud = G.PointCloud(positions=rng.uniform(-3, 3, size=(20, 3)))
         pairing = S.selection_variant(cloud, "farthest", r_prime=4.0, k=20, seed=1)
-        reference = G.farthest_neighbor_pairing(cloud, r_prime=4.0, k=20, seed=1)
-        np.testing.assert_array_equal(pairing.farthest, reference.farthest)
+        np.testing.assert_array_equal(pairing, exhaustive_farthest(cloud.positions, 4.0))
+
+    def test_single_cluster_self(self):
+        cloud = G.PointCloud(positions=[[0.0, 0.0, 0.0]])
+        pairing = S.selection_variant(cloud, "farthest", r_prime=1.0, k=4, seed=0)
+        assert pairing.tolist() == [0]
+
+    def test_three_collinear(self):
+        cloud = G.PointCloud(positions=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        pairing = S.selection_variant(cloud, "farthest", r_prime=3.0, k=3, seed=0)
+        assert pairing[0] == 2
+        assert pairing[2] == 0
+
+    def test_k_all_matches_exhaustive_argmax(self):
+        rng = np.random.default_rng(11)
+        cloud = G.PointCloud(positions=rng.uniform(-4.0, 4.0, size=(32, 3)))
+        pairing = S.selection_variant(cloud, "farthest", r_prime=5.0, k=32, seed=4)
+        np.testing.assert_array_equal(pairing, exhaustive_farthest(cloud.positions, 5.0))
+
+    def test_out_of_range_isolation(self):
+        cloud = G.PointCloud(positions=[[0.0, 0.0, 0.0], [50.0, 0.0, 0.0]])
+        pairing = S.selection_variant(cloud, "farthest", r_prime=1.0, k=2, seed=0)
+        assert pairing.tolist() == [0, 1]
+
+    def test_all_strategies_rank_one_table(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        cloud = G.PointCloud(positions=rng.uniform(-3, 3, size=(40, 3)))
+        features = rng.normal(size=(40, 5))
+        counts = rng.integers(1, 6, size=40)
+        scores = {"feats_scale": features.mean(axis=1), "points_num": counts.astype(np.float64)}
+        tables = []
+        ball_query = G.ball_query
+
+        def recording(*args, **kwargs):
+            tables.append(ball_query(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(G, "ball_query", recording)
+        for strategy in S.SELECTION_STRATEGIES:
+            pairing = S.selection_variant(
+                cloud, strategy, r_prime=2.5, k=6, seed=3, features=features, valid_counts=counts
+            )
+            table = tables[-1]
+            assert pairing.dtype == np.int64
+            if strategy in scores:
+                expected = G.pairing_from_table(cloud.positions, table, "score", scores=scores[strategy])
+            else:
+                expected = G.pairing_from_table(cloud.positions, table, strategy)
+            np.testing.assert_array_equal(pairing, expected)
+        assert len(tables) == len(S.SELECTION_STRATEGIES)
+        for table in tables[1:]:
+            assert table.indices.tobytes() == tables[0].indices.tobytes()
+            assert table.valid.tobytes() == tables[0].valid.tobytes()
+        assert (tables[0].valid[:, 1:].sum(axis=1) < 5).any()  # some rows are short
+        assert tables[0].valid.all(axis=1).any()  # and some sampled a full row
 
     def test_unknown_strategy(self):
         cloud = G.PointCloud(positions=[[0.0, 0.0, 0.0]])
