@@ -151,6 +151,18 @@ def _train_setup(args) -> tuple[D.ModelConfig, H.TrainConfig]:
     return model, _override(train, args, {"seed": "seed", "epochs": "epochs", "lr": "peak_lr"})
 
 
+def _training_scenes(data_dir, model: D.ModelConfig) -> list[tuple[DT.Scene, str]]:
+    """The dataset under data_dir, checked before any output is written: a
+    label whose class the model lacks is an error naming its label file."""
+    scenes = DT.dataset(data_dir)
+    for scene, sid in scenes:
+        try:
+            H.check_label_classes(scene.objects, model.num_classes)
+        except ValueError as err:
+            raise ValueError(f"{Path(data_dir) / f'{sid}.json'}: {err}") from err
+    return scenes
+
+
 # ---------------------------------------------------------------------------
 # manifests
 
@@ -263,7 +275,7 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     model, train = _train_setup(args)
-    scenes = DT.dataset(args.data)
+    scenes = _training_scenes(args.data, model)
     out_dir = Path(args.out)
     resolved = {"model": dataclasses.asdict(model), "train": dataclasses.asdict(train)}
 
@@ -394,7 +406,7 @@ def cmd_bench(args) -> int:
 
 def cmd_ablate(args) -> int:
     base, train = _train_setup(args)
-    scenes = DT.dataset(args.data)
+    scenes = _training_scenes(args.data, base)
     axes = None if args.axis == "all" else [args.axis]
     out_path = Path(args.out)
     resolved = {

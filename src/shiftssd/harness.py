@@ -137,6 +137,15 @@ class TrainingAborted(RuntimeError):
         self.reason = str(cause)
 
 
+def check_label_classes(objects: list[tuple[D.Box3D, int]], num_classes: int) -> None:
+    """Reject the first label whose class_id the model has no logit for.
+    Training would otherwise take such a label silently whenever no
+    cluster lands in its box."""
+    for i, (_, cls) in enumerate(objects):
+        if cls > num_classes:
+            raise ValueError(f"label {i} has class_id {cls}, but the model has {num_classes} classes")
+
+
 def train_toy(
     scenes: list[tuple[DT.Scene, str]],
     model_config: D.ModelConfig,
@@ -149,9 +158,16 @@ def train_toy(
     fixed seed reproduce them identically every epoch. Aggregation
     around the moving vote candidates is re-sampled every step. A
     failed step, such as one with a non-finite loss, raises TrainingAborted.
+    A label whose class_id exceeds model_config.num_classes is a ValueError
+    naming its scene, raised before any step.
     """
     if not scenes:
         raise ValueError("training needs at least one scene")
+    for scene, sid in scenes:
+        try:
+            check_label_classes(scene.objects, model_config.num_classes)
+        except ValueError as err:
+            raise ValueError(f"scene {sid}: {err}") from err
     params = D.init_model_params(model_config, seed=train_config.seed)
     opt = Adam(
         params.tensors(),
@@ -411,6 +427,7 @@ class BenchRow:
     name: str
     mean_ms: float
     median_ms: float
+    ratio_median: float  # median over repetitions of this variant's time / the last variant's
     param_count: int
 
 
@@ -433,7 +450,9 @@ def latency_bench(
 
     Every repetition times every variant, in list order on even
     repetitions and reversed on odd ones, so the variants share one
-    time window and neither always runs first."""
+    time window and neither always runs first. Each row's ratio_median
+    pairs its times with the last variant's by repetition, so host drift
+    between repetitions cancels out of the ratio."""
     if repetitions < MIN_REPETITIONS:
         raise ValueError(f"repetitions must be >= {MIN_REPETITIONS}")
     for _, config, params in variants:
@@ -453,6 +472,7 @@ def latency_bench(
             name=name,
             mean_ms=float(np.mean(times)),
             median_ms=float(np.median(times)),
+            ratio_median=float(np.median(np.asarray(times) / samples[-1])),
             param_count=D.count_parameters(params),
         )
         for (name, _, params), times in zip(variants, samples)
@@ -471,8 +491,11 @@ def shift_mlp_param_count(config: D.ModelConfig) -> int:
 
 
 def write_bench_csv(path, report: BenchReport) -> None:
-    rows = [[r.name, f"{r.mean_ms:.4f}", f"{r.median_ms:.4f}", r.param_count, report.repetitions] for r in report.rows]
-    write_csv(path, ["variant", "mean_ms", "median_ms", "param_count", "repetitions"], rows)
+    rows = [
+        [r.name, f"{r.mean_ms:.4f}", f"{r.median_ms:.4f}", f"{r.ratio_median:.4f}", r.param_count, report.repetitions]
+        for r in report.rows
+    ]
+    write_csv(path, ["variant", "mean_ms", "median_ms", "ratio_median", "param_count", "repetitions"], rows)
 
 
 # ---------------------------------------------------------------------------

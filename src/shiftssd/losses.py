@@ -104,7 +104,7 @@ def smooth_l1(x, beta: float = 1.0) -> T.Tensor:
     per = np.where(quad, 0.5 * v * v / beta, a - 0.5 * beta)
 
     def _bp(g):
-        xt.grad += g[0, 0] / v.size * np.where(quad, v / beta, np.sign(v))
+        xt.add_grad(g[0, 0] / v.size * np.where(quad, v / beta, np.sign(v)))
 
     return T.Tensor([[per.mean()]], parents=(xt,), backprop=_bp)
 
@@ -126,7 +126,7 @@ def cls_loss(logits: T.Tensor, labels) -> T.Tensor:
     def _bp(g):
         onehot = np.zeros_like(p)
         onehot[np.arange(n), labels] = 1.0
-        logits.grad += g[0, 0] * (p - onehot) / n
+        logits.add_grad(g[0, 0] * (p - onehot) / n)
 
     return T.Tensor([[val]], parents=(logits,), backprop=_bp)
 

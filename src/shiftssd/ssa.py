@@ -203,7 +203,7 @@ def set_feature_abstraction(
     k = table.indices.shape[1]
     flat = table.indices.reshape(-1)
     rel = positions[flat] - np.repeat(positions[cluster_indices], k, axis=0)
-    neighbor_feats = T.gather_rows(features, flat)
+    neighbor_feats = T.gather_rows(features, table.indices)  # the stored array keys its scatter plan
     mlp_in = T.concat_cols([neighbor_feats, T.Tensor(rel)])
     per_neighbor = T.mlp_forward(mlp_in, f_mlp)
     return T.reduce_max(per_neighbor, k, table.valid)

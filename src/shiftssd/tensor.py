@@ -1,10 +1,18 @@
 """Minimal reverse-mode autodiff over dense 2-D float64 matrices.
 
 Every operation allocates a fresh node holding its values, a gradient
-buffer (zeros, allocated on first use), and a closure that scatters the
-upstream gradient into the node's parents. ``Tensor.backward()``
-replays the closures in reverse topological order, calling each with
-its node's gradient.
+buffer, and a closure that scatters the upstream gradient into the
+node's parents. ``Tensor.backward()`` replays the closures in reverse
+topological order, calling each with its node's gradient and skipping
+nodes that received none.
+
+A gradient buffer starts unset. The first full-shape gradient a node
+receives becomes its buffer as is (adopted, not copied into zeros), so
+one array may be the buffer of several nodes: ``add`` hands the same
+``g`` to both parents. A node therefore writes in place only into a
+buffer it allocated itself, and adds into an adopted one out of place.
+``gather_rows`` scatters by a plan memoised per index array (see
+``_scatter_plan``) that adds each row's gradients in index order.
 Shapes are strictly 2-D (vectors are lifted to a single row); there is
 no general broadcasting, only the explicit helpers ``repeat_rows`` and
 ``scale_rows``.
@@ -25,6 +33,7 @@ from __future__ import annotations
 
 import contextvars
 import json
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -53,7 +62,7 @@ def no_grad():
 class Tensor:
     """Dense 2-D float64 value paired with a same-shape gradient buffer."""
 
-    __slots__ = ("values", "_grad", "_parents", "_backprop")
+    __slots__ = ("values", "_grad", "_owns_grad", "_parents", "_backprop")
 
     def __init__(self, values, parents=(), backprop=None):
         arr = np.asarray(values, dtype=np.float64)
@@ -69,20 +78,40 @@ class Tensor:
             parents, backprop = (), None
         self.values = arr
         self._grad = None
+        self._owns_grad = False
         self._parents = tuple(parents)
         self._backprop = backprop
 
     @property
     def grad(self) -> np.ndarray:
-        """Same-shape gradient buffer, allocated as zeros on first use, so
-        a forward that never runs backward touches no gradient memory."""
-        if self._grad is None:
-            self._grad = np.zeros_like(self.values)
-        return self._grad
+        """Same-shape gradient buffer; zeros if no gradient reached this node.
+        It may be shared with other nodes: read it, and reset it with
+        ``zero_grads`` rather than writing into it."""
+        return self._own_grad() if self._grad is None else self._grad
 
     @grad.setter
     def grad(self, value) -> None:
-        self._grad = value
+        self._grad, self._owns_grad = value, False
+
+    def add_grad(self, g: np.ndarray) -> None:
+        """Accumulate a full-shape gradient. While the buffer is unset, g
+        becomes the buffer; the caller must not write into g afterwards."""
+        if self._grad is None:
+            self._grad = g
+        elif self._owns_grad:
+            self._grad += g
+        else:
+            self._grad, self._owns_grad = self._grad + g, True
+
+    def _own_grad(self) -> np.ndarray:
+        """The buffer, made one this node may write in place: zeros while
+        unset, a private copy of an adopted array."""
+        if self._grad is None:
+            self._grad = np.zeros_like(self.values)
+        elif not self._owns_grad:
+            self._grad = self._grad.copy()
+        self._owns_grad = True
+        return self._grad
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -102,10 +131,12 @@ class Tensor:
             if self.values.size != 1:
                 raise ValueError("backward() without a seed requires a scalar output")
             seed = np.ones_like(self.values)
-        self.grad = self.grad + np.asarray(seed, dtype=np.float64).reshape(self.values.shape)
+        self.add_grad(np.array(seed, dtype=np.float64).reshape(self.values.shape))
         for node in _topo_from(self):
-            if node._backprop is not None:
-                node._backprop(node.grad)
+            g = node._grad
+            if node._backprop is not None and g is not None:
+                node._owns_grad = False  # the closure may hand g on to a parent
+                node._backprop(g)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.shape})"
@@ -134,7 +165,7 @@ def _topo_from(root: Tensor) -> list[Tensor]:
 
 def zero_grads(tensors) -> None:
     for t in tensors:
-        t.grad[...] = 0.0
+        t.grad = None
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -150,8 +181,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
 
     def _bp(g):
-        a.grad += g
-        b.grad += g
+        a.add_grad(g)
+        b.add_grad(g)
 
     return Tensor(a.values + b.values, parents=(a, b), backprop=_bp)
 
@@ -160,8 +191,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "sub")
 
     def _bp(g):
-        a.grad += g
-        b.grad -= g
+        a.add_grad(g)
+        b.add_grad(-g)
 
     return Tensor(a.values - b.values, parents=(a, b), backprop=_bp)
 
@@ -170,8 +201,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
 
     def _bp(g):
-        a.grad += g * b.values
-        b.grad += g * a.values
+        a.add_grad(g * b.values)
+        b.add_grad(g * a.values)
 
     return Tensor(a.values * b.values, parents=(a, b), backprop=_bp)
 
@@ -180,7 +211,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
     def _bp(g):
-        a.grad += g * c
+        a.add_grad(g * c)
 
     return Tensor(a.values * c, parents=(a,), backprop=_bp)
 
@@ -189,21 +220,21 @@ def exp(a: Tensor) -> Tensor:
     y = np.exp(a.values)
 
     def _bp(g):
-        a.grad += g * y
+        a.add_grad(g * y)
 
     return Tensor(y, parents=(a,), backprop=_bp)
 
 
 def cos(a: Tensor) -> Tensor:
     def _bp(g):
-        a.grad += g * -np.sin(a.values)
+        a.add_grad(g * -np.sin(a.values))
 
     return Tensor(np.cos(a.values), parents=(a,), backprop=_bp)
 
 
 def sin(a: Tensor) -> Tensor:
     def _bp(g):
-        a.grad += g * np.cos(a.values)
+        a.add_grad(g * np.cos(a.values))
 
     return Tensor(np.sin(a.values), parents=(a,), backprop=_bp)
 
@@ -212,7 +243,7 @@ def absolute(a: Tensor) -> Tensor:
     """|a| elementwise; subgradient at 0 is 0."""
 
     def _bp(g):
-        a.grad += g * np.sign(a.values)
+        a.add_grad(g * np.sign(a.values))
 
     return Tensor(np.abs(a.values), parents=(a,), backprop=_bp)
 
@@ -221,7 +252,7 @@ def sigmoid(a: Tensor) -> Tensor:
     y = 1.0 / (1.0 + np.exp(-a.values))
 
     def _bp(g):
-        a.grad += g * y * (1.0 - y)
+        a.add_grad(g * y * (1.0 - y))
 
     return Tensor(y, parents=(a,), backprop=_bp)
 
@@ -230,7 +261,7 @@ def relu(a: Tensor) -> Tensor:
     """max(0, a) elementwise; subgradient at 0 is 0."""
 
     def _bp(g):
-        a.grad += g * (a.values > 0.0)
+        a.add_grad(g * (a.values > 0.0))
 
     return Tensor(np.maximum(a.values, 0.0), parents=(a,), backprop=_bp)
 
@@ -240,8 +271,9 @@ def avg2(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "avg2")
 
     def _bp(g):
-        a.grad += 0.5 * g
-        b.grad += 0.5 * g
+        half = 0.5 * g
+        a.add_grad(half)
+        b.add_grad(half)
 
     return Tensor(0.5 * (a.values + b.values), parents=(a, b), backprop=_bp)
 
@@ -252,8 +284,8 @@ def min2(a: Tensor, b: Tensor) -> Tensor:
     take_a = a.values <= b.values
 
     def _bp(g):
-        a.grad += g * take_a
-        b.grad += g * ~take_a
+        a.add_grad(g * take_a)
+        b.add_grad(g * ~take_a)
 
     return Tensor(np.where(take_a, a.values, b.values), parents=(a, b), backprop=_bp)
 
@@ -274,7 +306,7 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
 
     def _bp(g):
         for p, j0, j1 in zip(parts, offsets[:-1], offsets[1:]):
-            p.grad += g[:, j0:j1]
+            p.add_grad(g[:, j0:j1])
 
     return Tensor(np.concatenate([p.values for p in parts], axis=1), tuple(parts), backprop=_bp)
 
@@ -284,22 +316,71 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
         raise ValueError(f"slice_cols: [{start}:{stop}] out of range for width {a.shape[1]}")
 
     def _bp(g):
-        a.grad[:, start:stop] += g
+        a._own_grad()[:, start:stop] += g
 
     return Tensor(a.values[:, start:stop].copy(), parents=(a,), backprop=_bp)
 
 
+# id(index array) -> its scatter plan; weakref.finalize drops an entry when
+# its array dies, before the id can be reused
+_SCATTER_PLANS: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+
+
+def _scatter_plan(indices: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The scatter plan of an index array: one (rows, positions) pair per
+    rank r, where rows are the distinct targets occurring more than r times
+    and positions the flat index of each one's r-th occurrence.
+
+    ``buf[rows] += g[positions]`` rank by rank adds every row's gradients
+    in index order, the order of an unbuffered in-order scatter-add, with
+    no target repeated within one add. The plan is built once per array
+    and kept while the array lives (a training scene's cached neighbour
+    tables reuse theirs every epoch); the array is made read-only so the
+    plan stays valid.
+    """
+    key = id(indices)
+    plan = _SCATTER_PLANS.get(key)
+    if plan is None:
+        plan = _build_scatter_plan(indices.reshape(-1))
+        _SCATTER_PLANS[key] = plan
+        weakref.finalize(indices, _SCATTER_PLANS.pop, key, None)
+        indices.flags.writeable = False
+    return plan
+
+
+def _build_scatter_plan(flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    order = np.argsort(flat, kind="stable")  # each target's occurrences, in index order
+    ranked = flat[order]
+    starts = np.flatnonzero(np.diff(ranked, prepend=-1))
+    counts = np.diff(starts, append=flat.size)
+    by_count = np.argsort(-counts, kind="stable")
+    starts, counts = starts[by_count], counts[by_count]
+    rows = ranked[starts]
+    # how many targets occur more than r times, for r = 0 .. max count - 1
+    live = np.searchsorted(-counts, -np.arange(counts.max(initial=0)), side="left")
+    return [(rows[:k], order[starts[:k] + r]) for r, k in enumerate(live)]
+
+
 def gather_rows(a: Tensor, indices) -> Tensor:
-    """Row gather; backward scatter-adds into the source rows."""
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    """Row gather by an index array of any shape, read in flat order;
+    backward scatter-adds into the source rows.
+
+    Pass a stored int64 index array as is rather than a fresh view or
+    copy of it: the backward's scatter plan is memoised on the array's
+    identity.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    flat = idx.reshape(-1)
     n = a.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
+    if flat.size and (flat.min() < 0 or flat.max() >= n):
         raise ValueError(f"gather_rows: index out of range for {n} rows")
 
     def _bp(g):
-        np.add.at(a.grad, idx, g)
+        buf = a._own_grad()
+        for rows, positions in _scatter_plan(idx):
+            buf[rows] += g[positions]
 
-    return Tensor(a.values[idx], parents=(a,), backprop=_bp)
+    return Tensor(a.values[flat], parents=(a,), backprop=_bp)
 
 
 def repeat_rows(a: Tensor, k: int) -> Tensor:
@@ -309,7 +390,7 @@ def repeat_rows(a: Tensor, k: int) -> Tensor:
     m, c = a.shape
 
     def _bp(g):
-        a.grad += g.reshape(m, k, c).sum(axis=1)
+        a.add_grad(g.reshape(m, k, c).sum(axis=1))
 
     return Tensor(np.repeat(a.values, k, axis=0), parents=(a,), backprop=_bp)
 
@@ -318,14 +399,14 @@ def row_sum(a: Tensor) -> Tensor:
     """Sum over columns, keeping an Mx1 shape."""
 
     def _bp(g):
-        a.grad += g
+        a.add_grad(np.repeat(g, a.shape[1], axis=1))
 
     return Tensor(a.values.sum(axis=1, keepdims=True), parents=(a,), backprop=_bp)
 
 
 def sum_all(a: Tensor) -> Tensor:
     def _bp(g):
-        a.grad += g[0, 0]
+        a.add_grad(np.full_like(a.values, g[0, 0]))
 
     return Tensor([[a.values.sum()]], parents=(a,), backprop=_bp)
 
@@ -335,7 +416,7 @@ def mean_all(a: Tensor) -> Tensor:
         raise ValueError("mean_all: empty tensor")
 
     def _bp(g):
-        a.grad += g[0, 0] / a.values.size
+        a.add_grad(np.full_like(a.values, g[0, 0] / a.values.size))
 
     return Tensor([[a.values.mean()]], parents=(a,), backprop=_bp)
 
@@ -346,8 +427,8 @@ def scale_rows(a: Tensor, s: Tensor) -> Tensor:
         raise ValueError(f"scale_rows: scales must be {(a.shape[0], 1)}, got {s.shape}")
 
     def _bp(g):
-        a.grad += g * s.values
-        s.grad += (g * a.values).sum(axis=1, keepdims=True)
+        a.add_grad(g * s.values)
+        s.add_grad((g * a.values).sum(axis=1, keepdims=True))
 
     return Tensor(a.values * s.values, parents=(a, s), backprop=_bp)
 
@@ -381,7 +462,7 @@ def reduce_max(x: Tensor, group_size: int, valid) -> Tensor:
         flat_rows = (np.arange(m)[:, None] * group_size + arg).ravel()
         flat_cols = np.tile(np.arange(c), m)
         # one argmax per (group, channel) and disjoint groups: no target repeats
-        x.grad[flat_rows, flat_cols] += g.ravel()
+        x._own_grad()[flat_rows, flat_cols] += g.ravel()
 
     return Tensor(out_vals, parents=(x,), backprop=_bp)
 
@@ -456,10 +537,10 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
         raise ValueError(f"linear: input width {x.shape[1]} != weight width {p.in_width}")
 
     def _bp(g):
-        x.grad += g @ p.weight.values
+        x.add_grad(g @ p.weight.values)
         # x^T g, then transposed: OpenBLAS rounds g^T x differently per thread count
-        p.weight.grad += (x.values.T @ g).T
-        p.bias.grad += g.sum(axis=0, keepdims=True)
+        p.weight.add_grad((x.values.T @ g).T)
+        p.bias.add_grad(g.sum(axis=0, keepdims=True))
 
     values = x.values @ p.weight.values.T + p.bias.values
     return Tensor(values, parents=(x, p.weight, p.bias), backprop=_bp)

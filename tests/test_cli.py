@@ -130,6 +130,18 @@ class TestUsage:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand", ["train", "ablate"])
+    def test_label_class_beyond_model_exits_2_naming_file(self, tmp_path, small_config_file, capsys, subcommand):
+        # the small config's model has 2 classes; class 3 is a valid label for no logit
+        data_dir, out = tmp_path / "data", tmp_path / "out"
+        assert run(["gen", "--scenes", 2, "--out", data_dir, "--seed", 11, "--config", small_config_file]) == 0
+        set_class_id(data_dir / "scene_0001.json", 3)
+        capsys.readouterr()
+        code = run([subcommand, "--data", data_dir, "--out", out, "--seed", 1, "--config", small_config_file, "--epochs", 1])
+        assert code == 2
+        assert "scene_0001.json: label 0 has class_id 3, but the model has 2 classes" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))  # neither --out nor its manifest
+
     @pytest.mark.parametrize(
         "edit, where",
         [

@@ -141,6 +141,16 @@ class TestTrainToy:
         with pytest.raises(ValueError, match="at least one scene"):
             H.train_toy([], tiny_config(), H.TrainConfig(epochs=1, seed=0))
 
+    def test_label_class_beyond_model_rejected_before_any_step(self, tiny_scenes, monkeypatch):
+        forwards = []
+        monkeypatch.setattr(D, "model_forward", lambda *a, **k: forwards.append(a))
+        (first, first_id), (second, second_id) = tiny_scenes
+        box, _ = second.objects[0]
+        edited = DT.Scene(cloud=second.cloud, objects=[(box, 3), *second.objects[1:]])
+        with pytest.raises(ValueError, match=f"^scene {second_id}: label 0 has class_id 3, but the model has 2 classes$"):
+            H.train_toy([(first, first_id), (edited, second_id)], tiny_config(), H.TrainConfig(epochs=1, seed=0))
+        assert forwards == []
+
 
 # Two default-model epochs on two 2048-point scenes; prints a digest of the
 # trained parameter bytes.
@@ -538,6 +548,29 @@ class TestBench:
         assert (rows["a"].median_ms, rows["b"].median_ms) == pytest.approx((3.0, 1.0))
         assert (rows["a"].mean_ms, rows["b"].mean_ms) == pytest.approx((3.0, 1.0))
         assert (rows["a"].param_count, rows["b"].param_count) == (1, 2)
+
+    def test_ratio_median_pairs_times_by_repetition(self, monkeypatch, tmp_path):
+        # the host slows steadily (b's cost is 1, 2, ... 10 ms); a costs 1.2x b
+        # on even repetitions and 1x on odd ones, so the median of the paired
+        # ratios is 1.1 while the ratio of the medians is 6 / 5.5
+        clock = [0.0]
+
+        def detect(cloud, config, params, seed):
+            rep = seed - 5
+            clock[0] += (rep + 1) * 1e-3 * (1.2 if config == "a" and rep % 2 == 0 else 1.0)
+            return []
+
+        monkeypatch.setattr(D, "detect", detect)
+        monkeypatch.setattr(D, "count_parameters", lambda params: params)
+        monkeypatch.setattr(H.time, "perf_counter", lambda: clock[0])
+        report = H.latency_bench([("a", "a", 1), ("b", "b", 2)], ["x"], repetitions=10, seed=5)
+        rows = report.by_name()
+        assert rows["a"].median_ms / rows["b"].median_ms == pytest.approx(6 / 5.5)
+        assert (rows["a"].ratio_median, rows["b"].ratio_median) == pytest.approx((1.1, 1.0))
+        H.write_bench_csv(tmp_path / "bench.csv", report)
+        header, row_a, row_b = (tmp_path / "bench.csv").read_text().splitlines()
+        assert header == "variant,mean_ms,median_ms,ratio_median,param_count,repetitions"
+        assert row_a.split(",")[3] == "1.1000" and row_b.split(",")[3] == "1.0000"
 
 
 class TestAblation:

@@ -193,6 +193,142 @@ class TestReduceMax:
         assert x.grad.tobytes() == expected.tobytes()
 
 
+def gather_rows_add_at(a, indices):
+    """The gather_rows of this test module: the same forward, and a backward
+    that scatters with np.add.at."""
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+
+    def _bp(g):
+        np.add.at(a._own_grad(), idx, g)
+
+    return T.Tensor(a.values[idx], parents=(a,), backprop=_bp)
+
+
+def wide_normal(r, shape):
+    """Normal draws spread over 16 orders of magnitude, so any change in
+    summation order shows in the bytes."""
+    return r.normal(size=shape) * 10.0 ** r.uniform(-8, 8, size=shape)
+
+
+class TestGatherRowsBackward:
+    @pytest.mark.parametrize(
+        "rows, indices, prior",
+        [
+            (5, lambda r: r.integers(0, 5, size=400), False),  # duplicate-heavy
+            (40, lambda r: r.integers(0, 40, size=300), True),  # a buffer already holding a gradient
+            (6, lambda r: np.empty(0, dtype=np.int64), True),  # empty
+            (30, lambda r: r.integers(0, 30, size=(24, 8)), False),  # 2-D, as a neighbour table
+            (1, lambda r: np.zeros(64, dtype=np.int64), True),  # one source row
+        ],
+        ids=["duplicates", "prior_grad", "empty", "2d", "one_row"],
+    )
+    def test_equals_add_at_oracle(self, rows, indices, prior):
+        r = rng(40)
+        idx = indices(r)
+        x = T.Tensor(wide_normal(r, (rows, 3)))
+        if prior:
+            x.grad = wide_normal(r, (rows, 3))
+        expected = x.grad.copy()
+        g = wide_normal(r, (idx.size, 3))
+        np.add.at(expected, idx.reshape(-1), g)
+        out = T.gather_rows(x, idx)
+        np.testing.assert_array_equal(out.values, x.values[idx.reshape(-1)])
+        out.backward(g)
+        assert x.grad.tobytes() == expected.tobytes()
+
+    def test_random_cases_equal_add_at_oracle(self):
+        r = rng(41)
+        for _ in range(100):
+            n = int(r.integers(1, 20))
+            idx = r.integers(0, n, size=int(r.integers(0, 120)))
+            x = T.Tensor(np.zeros((n, 2)))
+            g = wide_normal(r, (idx.size, 2))
+            expected = np.zeros((n, 2))
+            np.add.at(expected, idx, g)
+            T.gather_rows(x, idx).backward(g)
+            assert x.grad.tobytes() == expected.tobytes()
+
+    def test_plan_built_once_per_array_and_dropped_with_it(self, monkeypatch):
+        builds = []
+        build = T._build_scatter_plan
+        monkeypatch.setattr(T, "_build_scatter_plan", lambda flat: builds.append(flat.size) or build(flat))
+        r = rng(42)
+        idx = r.integers(0, 10, size=(6, 4))
+        x = T.Tensor(r.normal(size=(10, 3)))
+        for _ in range(3):
+            T.gather_rows(x, idx).backward(np.ones((24, 3)))
+        assert builds == [24]
+        assert not idx.flags.writeable  # the plan stays valid for the array's lifetime
+        T.gather_rows(x, idx.copy()).backward(np.ones((24, 3)))  # a fresh array builds its own
+        assert builds == [24, 24]
+        key, alive = id(idx), weakref.ref(idx)
+        assert key in T._SCATTER_PLANS
+        del idx
+        assert alive() is None and key not in T._SCATTER_PLANS
+
+    def test_default_model_training_equals_add_at_reference(self, monkeypatch):
+        synth = DT.SynthConfig()
+        scenes = [(DT.generate_scene(synth, seed=60 + i), f"scene_{i}") for i in range(2)]
+        model = D.default_model_config(anchors=[tuple(c.mean_size) for c in synth.classes])
+        config = H.TrainConfig(epochs=2, peak_lr=0.01, seed=5)
+
+        def trained_bytes():
+            return [t.values.tobytes() for t in H.train_toy(scenes, model, config).params.tensors()]
+
+        planned = trained_bytes()
+        monkeypatch.setattr(T, "gather_rows", gather_rows_add_at)
+        assert planned == trained_bytes()
+
+
+def write_into_a(kind, a):
+    """Run a backward that writes into part of a's gradient buffer."""
+    if kind == "scatter":
+        T.gather_rows(a, [3, 0]).backward(np.ones((2, 2)))
+    elif kind == "slice_cols":
+        T.slice_cols(a, 1, 2).backward(np.ones((4, 1)))
+    else:
+        T.reduce_max(a, 2, np.ones((2, 2), dtype=bool)).backward(np.ones((2, 2)))
+
+
+class TestAdoptedGradients:
+    @pytest.mark.parametrize("kind", ["scatter", "slice_cols", "reduce_max"])
+    def test_shared_buffer_untouched_by_a_later_partial_write(self, kind):
+        r = rng(43)
+        a, b = T.Tensor(r.normal(size=(4, 2))), T.Tensor(r.normal(size=(4, 2)))
+        g = r.normal(size=(4, 2))
+        T.add(a, b).backward(g)
+        assert a.grad is b.grad  # both parents adopted the one upstream array
+        write_into_a(kind, a)
+        assert b.grad.tobytes() == g.tobytes()
+        fresh = T.Tensor(a.values)
+        write_into_a(kind, fresh)
+        assert a.grad.tobytes() == (g + fresh.grad).tobytes()
+
+    def test_adopted_buffer_accumulates_out_of_place(self):
+        r = rng(44)
+        a, b = T.Tensor(r.normal(size=(3, 2))), T.Tensor(r.normal(size=(3, 2)))
+        g = r.normal(size=(3, 2))
+        T.add(a, b).backward(g)
+        T.scale(a, 2.0).backward(g)
+        assert b.grad.tobytes() == g.tobytes()
+        assert a.grad.tobytes() == (g + 2.0 * g).tobytes()
+
+    def test_zero_grads_drops_buffers(self):
+        x = T.Tensor([[1.0, 2.0]])
+        T.sum_all(x).backward()
+        T.zero_grads([x])
+        assert x._grad is None
+        np.testing.assert_array_equal(x.grad, [[0.0, 0.0]])
+
+    def test_reductions_adopt_full_shape_arrays(self):
+        x = T.Tensor(np.arange(6.0).reshape(2, 3))
+        for op in (T.sum_all, T.mean_all, T.row_sum):
+            T.zero_grads([x])
+            out = op(x)
+            out.backward(np.full(out.shape, 3.0))
+            assert x._grad.shape == (2, 3)
+
+
 def records_graph() -> bool:
     a = T.Tensor([[1.0]])
     out = T.scale(a, 2.0)
