@@ -153,14 +153,23 @@ def _train_setup(args) -> tuple[D.ModelConfig, H.TrainConfig]:
 
 def _training_scenes(data_dir, model: D.ModelConfig) -> list[tuple[DT.Scene, str]]:
     """The dataset under data_dir, checked before any output is written: a
-    label whose class the model lacks is an error naming its label file."""
+    label whose class the model lacks is an error naming its label file, a
+    cloud whose channels the model does not take one naming its cloud file."""
     scenes = DT.dataset(data_dir)
     for scene, sid in scenes:
         try:
             H.check_label_classes(scene.objects, model.num_classes)
         except ValueError as err:
             raise ValueError(f"{Path(data_dir) / f'{sid}.json'}: {err}") from err
+        _check_channels(Path(data_dir) / f"{sid}.bin", scene.cloud, model)
     return scenes
+
+
+def _check_channels(path, cloud, model: D.ModelConfig) -> None:
+    try:
+        H.check_cloud_channels(cloud, model.in_channels)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +327,7 @@ def cmd_detect(args) -> int:
     config, params = _load_model(args.model)
     config = _override(config, args, {"score_threshold": "score_threshold", "nms_iou": "nms_iou"})
     cloud = DT.read_cloud(args.input)
+    _check_channels(args.input, cloud, config)
     out_path = Path(args.out)
     resolved = {"model": dataclasses.asdict(config)}
 

@@ -71,6 +71,9 @@ class SynthConfig:
         if self.points_per_scene < 1:
             raise ValueError("points_per_scene must be >= 1")
         if self.objects_max > 0:
+            diagonal = max(math.hypot(*np.add(c.mean_size, c.size_jitter)[:2]) for c in self.classes)
+            if self.extent < diagonal:
+                raise ValueError(f"extent {self.extent} is below the largest class's BEV diagonal {diagonal:.6g}")
             per_object = (self.points_per_scene - self.noise_points) // self.objects_max
             if per_object < 8:
                 raise ValueError(
@@ -102,14 +105,14 @@ def _sample_surface_points(box: Box3D, count: int, jitter: float, rng: np.random
     faces = rng.choice(6, size=count, p=areas / areas.sum())
     u = rng.uniform(-0.5, 0.5, size=count)
     v = rng.uniform(-0.5, 0.5, size=count)
-    local = np.empty((count, 3))
-    for i, face in enumerate(faces):
-        if face < 2:  # +-x faces
-            local[i] = (0.5 if face == 0 else -0.5) * l, u[i] * w, v[i] * h
-        elif face < 4:  # +-y faces
-            local[i] = u[i] * l, (0.5 if face == 2 else -0.5) * w, v[i] * h
-        else:  # +-z faces
-            local[i] = u[i] * l, v[i] * w, (0.5 if face == 4 else -0.5) * h
+    # face 2a (2a+1) lies at +0.5 (-0.5) on axis a; u and v span the other
+    # two axes in x, y, z order
+    side = np.where(faces % 2 == 0, 0.5, -0.5)
+    axis = faces // 2
+    x = np.where(axis == 0, side, u)
+    y = np.where(axis == 0, u, np.where(axis == 1, side, v))
+    z = np.where(axis == 2, side, v)
+    local = np.column_stack([x, y, z]) * np.array([l, w, h])
     if jitter > 0:
         local += rng.uniform(-jitter, jitter, size=local.shape)
     c, s = math.cos(box.yaw), math.sin(box.yaw)

@@ -350,7 +350,24 @@ def model_forward(
 
 
 # ---------------------------------------------------------------------------
-# box encoding
+# box geometry and encoding
+
+# Corner k of a box is center + R(yaw) (CORNER_SIGNS[k] * size / 2): the bottom
+# face first, then the top, each counterclockwise in BEV from (+l/2, +w/2).
+# A box turned by pi has the same corners in the order FLIPPED_CORNERS.
+CORNER_SIGNS = np.array(
+    [[sx, sy, sz] for sz in (-1.0, 1.0) for sx, sy in ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))]
+)
+FLIPPED_CORNERS = [2, 3, 0, 1, 6, 7, 4, 5]
+
+
+def box_corners(centers, sizes, yaws) -> np.ndarray:
+    """P×8×3 corners of P boxes from P×3 centers, P×3 sizes and P yaws."""
+    cx, cy, cz = np.asarray(centers, dtype=np.float64).reshape(-1, 3).T[:, :, None]
+    lx, ly, lz = np.moveaxis(CORNER_SIGNS * (np.asarray(sizes, dtype=np.float64).reshape(-1, 1, 3) / 2.0), -1, 0)
+    yaws = np.asarray(yaws, dtype=np.float64).reshape(-1, 1)
+    c, s = np.cos(yaws), np.sin(yaws)
+    return np.stack([cx + (c * lx - s * ly), cy + (s * lx + c * ly), cz + lz], axis=-1)
 
 
 def bin_center(bin_id: int, bins: int) -> float:
@@ -420,17 +437,6 @@ def decode_boxes(raw: RawPrediction, candidates: np.ndarray, class_ids: np.ndarr
 # rotated IoU and suppression
 
 
-def bev_corners(box: Box3D) -> np.ndarray:
-    """4x2 bird's-eye-view corners, counterclockwise from (+l/2, +w/2)."""
-    c, s = np.cos(box.yaw), np.sin(box.yaw)
-    half_l, half_w = box.size[0] / 2.0, box.size[1] / 2.0
-    local = np.array(
-        [[half_l, half_w], [-half_l, half_w], [-half_l, -half_w], [half_l, -half_w]]
-    )
-    rot = np.array([[c, -s], [s, c]])
-    return local @ rot.T + box.center[:2]
-
-
 def _polygon_area(poly: list[np.ndarray]) -> float:
     if len(poly) < 3:
         return 0.0
@@ -441,7 +447,7 @@ def _polygon_area(poly: list[np.ndarray]) -> float:
     return abs(area) / 2.0
 
 
-def _clip_polygon(subject: list[np.ndarray], clip: np.ndarray) -> list[np.ndarray]:
+def _clip_polygon(subject: np.ndarray, clip: np.ndarray) -> list[np.ndarray]:
     """Sutherland-Hodgman clip of a convex subject by a CCW convex polygon."""
     output = list(subject)
     n = len(clip)
@@ -468,8 +474,13 @@ def _clip_polygon(subject: list[np.ndarray], clip: np.ndarray) -> list[np.ndarra
     return output
 
 
+def _footprints(boxes: list[Box3D]) -> np.ndarray:
+    """n×4×2 BEV rectangles: the bottom face of each box's corners."""
+    return box_corners([b.center for b in boxes], [b.size for b in boxes], [b.yaw for b in boxes])[:, :4, :2]
+
+
 def bev_intersection_area(a: Box3D, b: Box3D) -> float:
-    return _polygon_area(_clip_polygon(list(bev_corners(a)), bev_corners(b)))
+    return _polygon_area(_clip_polygon(*_footprints([a, b])))
 
 
 def bev_rotated_iou(a: Box3D, b: Box3D) -> float:
@@ -485,9 +496,14 @@ def bev_rotated_iou(a: Box3D, b: Box3D) -> float:
 
 def iou3d(a: Box3D, b: Box3D) -> float:
     """BEV intersection times vertical overlap, over the volume union."""
+    return _iou3d(a, b, *_footprints([a, b]))
+
+
+def _iou3d(a: Box3D, b: Box3D, fa: np.ndarray, fb: np.ndarray) -> float:
+    """iou3d given the two boxes' footprints."""
     if a.volume() <= 0 or b.volume() <= 0:
         raise ValueError("degenerate zero-volume box")
-    inter_area = bev_intersection_area(a, b)
+    inter_area = _polygon_area(_clip_polygon(fa, fb))
     z_lo = max(a.center[2] - a.size[2] / 2.0, b.center[2] - b.size[2] / 2.0)
     z_hi = min(a.center[2] + a.size[2] / 2.0, b.center[2] + b.size[2] / 2.0)
     inter = inter_area * max(0.0, z_hi - z_lo)
@@ -499,16 +515,18 @@ def nms3d(detections: list[Detection], iou_threshold: float) -> list[Detection]:
     """Greedy suppression: keep a detection iff its IoU3D with every
     higher-scored kept detection stays at or below the threshold. Boxes
     whose BEV circumscribed circles lie apart (by more than rounding) have
-    IoU exactly 0, so under a non-negative threshold iou3d is skipped."""
+    IoU exactly 0, so under a non-negative threshold the IoU is skipped."""
     order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
     xy = np.array([det.box.center[:2] for det in detections]).reshape(-1, 2)
     reach = np.array([np.hypot(*det.box.size[:2]) / 2.0 for det in detections])
     gap = np.sqrt(((xy[:, None] - xy) ** 2).sum(axis=2)) - (reach[:, None] + reach)
     slack = 1e-9 * (1.0 + np.abs(xy).max(initial=0.0) + reach.max(initial=0.0))
     apart = (gap > slack) & (iou_threshold >= 0)
+    boxes = [det.box for det in detections]
+    feet = _footprints(boxes)
     kept: list[int] = []
     for i in order:
-        if all(apart[i, j] or iou3d(detections[i].box, detections[j].box) <= iou_threshold for j in kept):
+        if all(apart[i, j] or _iou3d(boxes[i], boxes[j], feet[i], feet[j]) <= iou_threshold for j in kept):
             kept.append(i)
     return [detections[i] for i in kept]
 

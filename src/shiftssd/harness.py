@@ -146,6 +146,13 @@ def check_label_classes(objects: list[tuple[D.Box3D, int]], num_classes: int) ->
             raise ValueError(f"label {i} has class_id {cls}, but the model has {num_classes} classes")
 
 
+def check_cloud_channels(cloud: G.PointCloud, in_channels: int) -> None:
+    """Reject a cloud whose feature channel count is not the model's
+    in_channels, which the first layer would otherwise reject mid-run."""
+    if cloud.channels != in_channels:
+        raise ValueError(f"cloud channel count {cloud.channels} != model.in_channels {in_channels}")
+
+
 def train_toy(
     scenes: list[tuple[DT.Scene, str]],
     model_config: D.ModelConfig,
@@ -159,13 +166,15 @@ def train_toy(
     around the moving vote candidates is re-sampled every step. A
     failed step, such as one with a non-finite loss, raises TrainingAborted.
     A label whose class_id exceeds model_config.num_classes is a ValueError
-    naming its scene, raised before any step.
+    naming its scene, raised before any step, as is a cloud whose channel
+    count is not model_config.in_channels.
     """
     if not scenes:
         raise ValueError("training needs at least one scene")
     for scene, sid in scenes:
         try:
             check_label_classes(scene.objects, model_config.num_classes)
+            check_cloud_channels(scene.cloud, model_config.in_channels)
         except ValueError as err:
             raise ValueError(f"scene {sid}: {err}") from err
     params = D.init_model_params(model_config, seed=train_config.seed)

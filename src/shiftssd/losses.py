@@ -14,11 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .detector import Box3D, ModelConfig, RawPrediction, bin_center, encode_angle, normalize_yaw
-
-# BEV corner sign pattern, counterclockwise from (+l/2, +w/2); bottom
-# face first, then top.
-_BEV_SIGNS = [(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)]
+from .detector import CORNER_SIGNS, FLIPPED_CORNERS, box_corners
+from .detector import Box3D, ModelConfig, RawPrediction, bin_center, encode_angle
 
 
 @dataclass
@@ -42,16 +39,17 @@ class TargetSet:
     vote_targets: np.ndarray  # Mx3, GT center - cluster position (zeros for negatives)
 
 
-def point_in_box(point: np.ndarray, box: Box3D) -> bool:
-    """Rotated-frame containment test (BEV rectangle plus z extent)."""
-    d = np.asarray(point, dtype=np.float64) - box.center
+def point_in_box(points: np.ndarray, box: Box3D) -> np.ndarray:
+    """Rotated-frame containment test (BEV rectangle plus z extent) of
+    (..., 3) points; a bool array of shape (...)."""
+    d = np.asarray(points, dtype=np.float64) - box.center
     c, s = np.cos(box.yaw), np.sin(box.yaw)
-    local_x = c * d[0] + s * d[1]
-    local_y = -s * d[0] + c * d[1]
+    local_x = c * d[..., 0] + s * d[..., 1]
+    local_y = -s * d[..., 0] + c * d[..., 1]
     return (
-        abs(local_x) <= box.size[0] / 2.0
-        and abs(local_y) <= box.size[1] / 2.0
-        and abs(d[2]) <= box.size[2] / 2.0
+        (np.abs(local_x) <= box.size[0] / 2.0)
+        & (np.abs(local_y) <= box.size[1] / 2.0)
+        & (np.abs(d[..., 2]) <= box.size[2] / 2.0)
     )
 
 
@@ -61,7 +59,8 @@ def assign_targets(
     margin: float = 0.0,
 ) -> TargetSet:
     """A candidate is positive iff its originating cluster lies inside a
-    ground-truth box inflated by `margin` meters per dimension.
+    ground-truth box inflated by `margin` meters per dimension; inside
+    several, it takes the first in label order.
 
     Anchoring positivity to the fixed cluster position keeps the vote
     supervision alive no matter where the votes currently land; tying it
@@ -72,22 +71,18 @@ def assign_targets(
     to the box center; box regression applies at the candidate.
     """
     m = cluster_positions.shape[0]
-    positive = np.zeros(m, dtype=bool)
+    owner = np.full(m, -1)
+    for j, (box, _) in enumerate(objects):
+        inflated = Box3D(center=box.center, size=box.size + margin, yaw=box.yaw)
+        owner[(owner < 0) & point_in_box(cluster_positions, inflated)] = j
+    positive = owner >= 0
     class_ids = np.zeros(m, dtype=np.int64)
-    boxes: list[Box3D | None] = [None] * m
     vote_targets = np.zeros((m, 3), dtype=np.float64)
-    inflated = [
-        (Box3D(center=box.center, size=box.size + margin, yaw=box.yaw), box, cls)
-        for box, cls in objects
-    ]
-    for i in range(m):
-        for test_box, box, cls in inflated:
-            if point_in_box(cluster_positions[i], test_box):
-                positive[i] = True
-                class_ids[i] = cls
-                boxes[i] = box
-                vote_targets[i] = box.center - cluster_positions[i]
-                break
+    boxes: list[Box3D | None] = [None] * m
+    for i in np.flatnonzero(positive):
+        box, class_ids[i] = objects[owner[i]]
+        boxes[i] = box
+        vote_targets[i] = box.center - cluster_positions[i]
     return TargetSet(positive=positive, class_ids=class_ids, boxes=boxes, vote_targets=vote_targets)
 
 
@@ -145,39 +140,23 @@ def offset_loss(offsets: T.Tensor, targets: TargetSet) -> T.Tensor:
     return smooth_l1(diff)
 
 
-def corners_from_box(box: Box3D) -> np.ndarray:
-    """8x3 corners: bottom face then top, each CCW in BEV from (+l/2, +w/2)."""
-    c, s = np.cos(box.yaw), np.sin(box.yaw)
-    out = np.empty((8, 3), dtype=np.float64)
-    i = 0
-    for sz in (-1.0, 1.0):
-        for sx, sy in _BEV_SIGNS:
-            lx, ly = sx * box.size[0] / 2.0, sy * box.size[1] / 2.0
-            out[i] = box.center + np.array(
-                [c * lx - s * ly, s * lx + c * ly, sz * box.size[2] / 2.0]
-            )
-            i += 1
-    return out
+def corners_in_graph(center: T.Tensor, size: T.Tensor, yaw: T.Tensor) -> T.Tensor:
+    """P×24 corner matrix (box_corners, row-flattened) of P boxes given as
+    P×3 centers, P×3 sizes and P×1 yaws, differentiable in all three."""
+    corners = box_corners(center.values, size.values, yaw.values)
+    offset = corners - center.values[:, None, :]
+    c, s = np.cos(yaw.values[:, 0]), np.sin(yaw.values[:, 0])
 
+    def _bp(g):
+        g = g.reshape(corners.shape)
+        center.add_grad(g.sum(axis=1))
+        # per axis, the corner gradients summed against the corner signs
+        gx, gy, gz = (g[..., k] @ CORNER_SIGNS for k in range(3))
+        size.add_grad(0.5 * np.column_stack([c * gx[:, 0] + s * gy[:, 0], c * gy[:, 1] - s * gx[:, 1], gz[:, 2]]))
+        # turning a corner's offset (x, y) by d yaw moves it by (-y, x) d yaw
+        yaw.add_grad((g[..., 1] * offset[..., 0] - g[..., 0] * offset[..., 1]).sum(axis=1, keepdims=True))
 
-def _corners_in_graph(center: T.Tensor, size: T.Tensor, yaw: T.Tensor) -> T.Tensor:
-    """Differentiable Mx24 corner matrix in the canonical corner order."""
-    cy, sy_ = T.cos(yaw), T.sin(yaw)
-    cx = T.slice_cols(center, 0, 1)
-    cyc = T.slice_cols(center, 1, 2)
-    cz = T.slice_cols(center, 2, 3)
-    half_l = T.scale(T.slice_cols(size, 0, 1), 0.5)
-    half_w = T.scale(T.slice_cols(size, 1, 2), 0.5)
-    half_h = T.scale(T.slice_cols(size, 2, 3), 0.5)
-    cols: list[T.Tensor] = []
-    for sz in (-1.0, 1.0):
-        for sx, sy in _BEV_SIGNS:
-            lx = T.scale(half_l, sx)
-            ly = T.scale(half_w, sy)
-            cols.append(T.add(cx, T.sub(T.mul(cy, lx), T.mul(sy_, ly))))
-            cols.append(T.add(cyc, T.add(T.mul(sy_, lx), T.mul(cy, ly))))
-            cols.append(T.add(cz, T.scale(half_h, sz)))
-    return T.concat_cols(cols)
+    return T.Tensor(corners.reshape(-1, 24), parents=(center, size, yaw), backprop=_bp)
 
 
 def _select_bin_column(matrix: T.Tensor, bin_ids: np.ndarray) -> T.Tensor:
@@ -230,20 +209,12 @@ def box_loss(
         [[bin_center(b, bins)] for b in pred_bins], dtype=np.float64
     )
     pred_yaw = T.add(T.Tensor(centers_for_bins), T.scale(pred_res, np.pi / bins))
-    pred_corners = _corners_in_graph(pred_center, pred_size, pred_yaw)
+    pred_corners = corners_in_graph(pred_center, pred_size, pred_yaw)
 
-    gt_corners = np.stack([corners_from_box(b).reshape(-1) for b in gt_boxes])
-    flipped = np.stack(
-        [
-            corners_from_box(
-                Box3D(center=b.center, size=b.size, yaw=normalize_yaw(b.yaw + np.pi))
-            ).reshape(-1)
-            for b in gt_boxes
-        ]
-    )
-    dist = T.scale(T.row_sum(T.absolute(T.sub(pred_corners, T.Tensor(gt_corners)))), 1.0 / 8.0)
-    dist_flip = T.scale(
-        T.row_sum(T.absolute(T.sub(pred_corners, T.Tensor(flipped)))), 1.0 / 8.0
+    gt = box_corners(gt_centers, gt_sizes, [b.yaw for b in gt_boxes])
+    dist, dist_flip = (
+        T.scale(T.row_sum(T.absolute(T.sub(pred_corners, T.Tensor(target.reshape(-1, 24))))), 1.0 / 8.0)
+        for target in (gt, gt[:, FLIPPED_CORNERS])
     )
     corner = T.mean_all(T.min2(dist, dist_flip))
     return loc, size, angle, corner

@@ -225,20 +225,6 @@ def exp(a: Tensor) -> Tensor:
     return Tensor(y, parents=(a,), backprop=_bp)
 
 
-def cos(a: Tensor) -> Tensor:
-    def _bp(g):
-        a.add_grad(g * -np.sin(a.values))
-
-    return Tensor(np.cos(a.values), parents=(a,), backprop=_bp)
-
-
-def sin(a: Tensor) -> Tensor:
-    def _bp(g):
-        a.add_grad(g * np.cos(a.values))
-
-    return Tensor(np.sin(a.values), parents=(a,), backprop=_bp)
-
-
 def absolute(a: Tensor) -> Tensor:
     """|a| elementwise; subgradient at 0 is 0."""
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import platform
 import subprocess
@@ -142,6 +143,28 @@ class TestUsage:
         assert "scene_0001.json: label 0 has class_id 3, but the model has 2 classes" in capsys.readouterr().err
         assert not list(tmp_path.glob("out*"))  # neither --out nor its manifest
 
+    @pytest.mark.parametrize("subcommand", ["train", "ablate", "detect"])
+    def test_in_channels_mismatch_exits_2_naming_cloud(self, tmp_path, small_config_file, capsys, subcommand):
+        # every cloud file carries one feature channel
+        config = json.loads(Path(small_config_file).read_text())
+        config["model"]["in_channels"] = 2
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        data_dir = tmp_path / "data"
+        assert run(["gen", "--scenes", 2, "--out", data_dir, "--seed", 11, "--config", bad]) == 0
+        if subcommand == "detect":
+            model = cli.config_from_dict(D.ModelConfig, config["model"])
+            ckpt = tmp_path / "bad.ckpt"
+            meta = {"model_config": dataclasses.asdict(model)}
+            T.save_checkpoint(ckpt, D.init_model_params(model, seed=0).named(), meta=meta)
+            argv = ["detect", "--model", ckpt, "--in", data_dir / "scene_0000.bin"]
+        else:
+            argv = [subcommand, "--data", data_dir, "--config", bad, "--epochs", 1]
+        capsys.readouterr()
+        assert run(argv + ["--out", tmp_path / "out", "--seed", 1]) == 2
+        assert "scene_0000.bin: cloud channel count 1 != model.in_channels 2" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))  # neither --out nor its manifest
+
     @pytest.mark.parametrize(
         "edit, where",
         [
@@ -178,6 +201,7 @@ class TestUsage:
             (lambda c: c["model"].update(in_channels=-3), "model: in_channels"),
             (lambda c: c["model"].update(assign_margin=float("nan")), "model: assign_margin"),
             (lambda c: c["model"]["anchors"][1].__setitem__(0, 0.0), "model: anchor sizes"),
+            (lambda c: c["synth"].update(extent=2.5), "synth: extent 2.5 is below the largest class's BEV diagonal"),
         ],
         ids=[
             "rejected_value", "wrong_type", "empty_scales", "unknown_key", "tuple_length", "unknown_section",
@@ -186,6 +210,7 @@ class TestUsage:
             "derived_r_prime_overflow", "candidate_k_0", "aggregation_width_0", "beta1_1", "beta2_above_1", "adam_eps_0", "div_factor_0",
             "final_div_factor_negative", "noise_height_inf", "point_jitter_negative", "mean_size_0",
             "size_jitter_above_mean", "in_channels_negative", "assign_margin_nan", "anchor_size_0",
+            "extent_below_diagonal",
         ],
     )
     def test_malformed_config_exits_1(self, tmp_path, small_config_file, capsys, edit, where):
@@ -218,11 +243,12 @@ class TestUsage:
             (["bench", "--data", "{data}", "--reps", 5], "--reps"),
             (["gen", "--scenes", 1, "--extent", "nan"], "--extent"),
             (["gen", "--scenes", 1, "--noise", -50], "--noise"),
+            (["gen", "--scenes", 1, "--extent", 4.5], "--extent"),
         ],
         ids=["train_epochs_0", "train_lr_negative", "train_lr_nan", "ablate_epochs_0",
              "gen_points_10", "gen_scenes_0", "probe_scenes_negative", "detect_score_threshold_nan",
              "gradcheck_tol_nan", "gradcheck_eps_0", "probe_tol_nan", "probe_eps_inf", "bench_reps_5",
-             "gen_extent_nan", "gen_noise_negative"],
+             "gen_extent_nan", "gen_noise_negative", "gen_extent_below_diagonal"],
     )
     def test_rejected_flag_exits_1(self, tmp_path, trained_model, capsys, argv, flag):
         data_dir, ckpt = trained_model
@@ -597,15 +623,18 @@ def synth_configs(draw):
     objects_min = draw(st.integers(0, 4))
     objects_max = draw(st.integers(objects_min, 6))
     noise = draw(st.integers(0, 512))
+    classes = draw(st.lists(class_specs(), min_size=1, max_size=3))
+    # with objects, the scene must fit every class's largest BEV diagonal
+    diagonal = max(math.hypot(*np.add(c.mean_size, c.size_jitter)[:2]) for c in classes) if objects_max else 0.1
     return DT.SynthConfig(
-        extent=draw(st.floats(0.1, 100.0, **_finite)),
+        extent=draw(st.floats(diagonal, 100.0, **_finite)),
         points_per_scene=noise + 8 * max(objects_max, 1) + draw(st.integers(0, 2048)),
         noise_points=noise,
         objects_min=objects_min,
         objects_max=objects_max,
         point_jitter=draw(st.floats(0.0, 1.0, **_finite)),
         noise_height=draw(st.floats(0.1, 10.0, **_finite)),
-        classes=draw(st.lists(class_specs(), min_size=1, max_size=3)),
+        classes=classes,
     )
 
 

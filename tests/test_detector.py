@@ -425,8 +425,8 @@ class TestNms:
         ]
         ref = nms_reference(dets, thr)
         calls = []
-        iou3d = D.iou3d
-        monkeypatch.setattr(D, "iou3d", lambda a, b: calls.append(1) or iou3d(a, b))
+        pair_iou = D._iou3d
+        monkeypatch.setattr(D, "_iou3d", lambda *args: calls.append(1) or pair_iou(*args))
         got = D.nms3d(dets, thr)
         assert [d.score for d in got] == [d.score for d in ref]
         if thr >= 0:

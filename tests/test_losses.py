@@ -100,6 +100,63 @@ class TestAssignTargets:
         assert L.point_in_box(np.array([0.0, 1.8, 0.0]), box)
         assert not L.point_in_box(np.array([1.8, 0.0, 0.0]), box)
 
+    def test_containment_keeps_the_point_shape(self):
+        box = Box3D(center=[0, 0, 0], size=[4, 0.5, 1], yaw=np.pi / 2)
+        points = np.random.default_rng(11).uniform(-2.5, 2.5, size=(4, 5, 3))
+        inside = L.point_in_box(points, box)
+        assert inside.shape == (4, 5)
+        assert inside.tolist() == [[bool(L.point_in_box(p, box)) for p in row] for row in points]
+
+    @staticmethod
+    def pair_oracle(clusters, objects, margin):
+        """The first box in label order whose inflated copy holds each cluster."""
+        owner = []
+        for point in clusters:
+            hit = None
+            for j, (box, _) in enumerate(objects):
+                if L.point_in_box(point, Box3D(center=box.center, size=box.size + margin, yaw=box.yaw)):
+                    hit = j
+                    break
+            owner.append(hit)
+        return owner
+
+    def assert_matches_oracle(self, clusters, objects, margin):
+        targets = L.assign_targets(clusters, objects, margin=margin)
+        owner = self.pair_oracle(clusters, objects, margin)
+        assert targets.positive.tolist() == [j is not None for j in owner]
+        assert targets.class_ids.tolist() == [0 if j is None else objects[j][1] for j in owner]
+        assert [b is None for b in targets.boxes] == [j is None for j in owner]
+        for i, j in enumerate(owner):
+            if j is None:
+                assert not targets.vote_targets[i].any()
+            else:
+                assert targets.boxes[i] is objects[j][0]
+                assert targets.vote_targets[i].tobytes() == (objects[j][0].center - clusters[i]).tobytes()
+        return targets
+
+    def test_overlapping_inflated_boxes_take_the_first_label(self):
+        rng = np.random.default_rng(12)
+        objects = [
+            (Box3D(center=[0.0, 0.0, 0.5], size=[2.0, 1.0, 1.0], yaw=0.3), 2),
+            (Box3D(center=[1.2, 0.4, 0.5], size=[1.5, 1.5, 1.0], yaw=-0.8), 1),
+            (Box3D(center=[-1.0, 0.8, 0.6], size=[1.0, 2.0, 1.2], yaw=1.9), 2),
+        ]
+        clusters = rng.uniform(-3, 3, size=(400, 3))
+        targets = self.assert_matches_oracle(clusters, objects, margin=0.9)
+        owners = {id(b) for b in targets.boxes if b is not None}
+        assert len(owners) == 3
+        # some cluster lies in two inflated boxes and went to the first
+        second = Box3D(center=objects[1][0].center, size=objects[1][0].size + 0.9, yaw=objects[1][0].yaw)
+        both = np.flatnonzero(L.point_in_box(clusters, second) & (targets.class_ids == 2))
+        assert both.size > 0
+
+    def test_no_objects_and_no_clusters(self):
+        box = (Box3D(center=[0, 0, 0], size=[1, 1, 1], yaw=0.0), 1)
+        empty = self.assert_matches_oracle(np.random.default_rng(13).normal(size=(5, 3)), [], margin=0.5)
+        assert not empty.positive.any()
+        none = self.assert_matches_oracle(np.zeros((0, 3)), [box], margin=0.5)
+        assert none.positive.shape == (0,) and none.vote_targets.shape == (0, 3)
+
 
 class TestOffsetLoss:
     def test_perfect_votes(self):
@@ -139,10 +196,32 @@ class TestOffsetLoss:
         assert expected == pytest.approx((0.125 + 1.5) / 6.0)
 
 
+def corners_oracle(box):
+    """8x3 corners enumerated one at a time: bottom face then top, each
+    CCW in BEV from (+l/2, +w/2)."""
+    c, s = np.cos(box.yaw), np.sin(box.yaw)
+    out = np.empty((8, 3), dtype=np.float64)
+    i = 0
+    for sz in (-1.0, 1.0):
+        for sx, sy in [(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)]:
+            lx, ly = sx * box.size[0] / 2.0, sy * box.size[1] / 2.0
+            out[i] = box.center + np.array([c * lx - s * ly, s * lx + c * ly, sz * box.size[2] / 2.0])
+            i += 1
+    return out
+
+
+def random_boxes(rng, n):
+    yaws = list(rng.uniform(-np.pi, np.pi, size=n - 3)) + [np.pi, -np.pi, np.nextafter(np.pi, 0.0)]
+    return [Box3D(center=rng.uniform(-50, 50, size=3), size=rng.uniform(0.1, 8, size=3), yaw=y) for y in yaws]
+
+
+def corners_of(boxes):
+    return D.box_corners([b.center for b in boxes], [b.size for b in boxes], [b.yaw for b in boxes])
+
+
 class TestCorners:
     def test_unit_cube(self):
-        box = Box3D(center=[0, 0, 0], size=[1, 1, 1], yaw=0.0)
-        corners = L.corners_from_box(box)
+        corners = D.box_corners([0, 0, 0], [1, 1, 1], 0.0)[0]
         assert corners.shape == (8, 3)
         np.testing.assert_allclose(np.abs(corners), 0.5)
         # bottom face first
@@ -150,20 +229,46 @@ class TestCorners:
         np.testing.assert_allclose(corners[0], [0.5, 0.5, -0.5])
 
     def test_quarter_turn_swaps_extents(self):
-        box = Box3D(center=[0, 0, 0], size=[4, 2, 1], yaw=np.pi / 2)
-        corners = L.corners_from_box(box)
+        corners = D.box_corners([0, 0, 0], [4, 2, 1], np.pi / 2)[0]
         assert corners[:, 0].max() == pytest.approx(1.0)
         assert corners[:, 1].max() == pytest.approx(2.0)
 
     def test_centroid_equals_center(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            box = Box3D(
-                center=rng.uniform(-5, 5, size=3),
-                size=rng.uniform(0.5, 4, size=3),
-                yaw=rng.uniform(-np.pi, np.pi),
-            )
-            np.testing.assert_allclose(L.corners_from_box(box).mean(axis=0), box.center, atol=1e-12)
+        boxes = random_boxes(np.random.default_rng(2), 50)
+        np.testing.assert_allclose(corners_of(boxes).mean(axis=1), [b.center for b in boxes], atol=1e-12)
+
+    def test_bytes_equal_per_box_oracle(self):
+        boxes = random_boxes(np.random.default_rng(6), 500)
+        expected = np.stack([corners_oracle(b) for b in boxes])
+        assert corners_of(boxes).tobytes() == expected.tobytes()
+        # one box at a time gives the same bits as the batch
+        one_by_one = np.concatenate([corners_of([b]) for b in boxes])
+        assert one_by_one.tobytes() == expected.tobytes()
+
+    def test_flip_reindexing_matches_half_turn(self):
+        boxes = random_boxes(np.random.default_rng(7), 200)
+        turned = [Box3D(center=b.center, size=b.size, yaw=b.yaw + np.pi) for b in boxes]
+        np.testing.assert_allclose(corners_of(boxes)[:, D.FLIPPED_CORNERS], corners_of(turned), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 9])
+    def test_corner_node_gradient(self, p):
+        rng = np.random.default_rng(8 + p)
+        center = T.Tensor(rng.normal(size=(p, 3)))
+        size = T.Tensor(rng.uniform(0.5, 3.0, size=(p, 3)))
+        yaw = T.Tensor(rng.uniform(-np.pi, np.pi, size=(p, 1)))
+        weights = T.Tensor(rng.normal(size=(p, 24)))
+
+        def f():
+            return T.sum_all(T.mul(L.corners_in_graph(center, size, yaw), weights))
+
+        assert T.grad_check(f, [center, size, yaw], eps=1e-5) < 1e-4
+
+    def test_corner_node_forward_is_box_corners(self):
+        boxes = random_boxes(np.random.default_rng(10), 20)
+        node = L.corners_in_graph(
+            T.Tensor([b.center for b in boxes]), T.Tensor([b.size for b in boxes]), T.Tensor([[b.yaw] for b in boxes])
+        )
+        assert node.values.tobytes() == corners_of(boxes).reshape(-1, 24).tobytes()
 
 
 def perfect_raw(candidates, targets, config):
@@ -267,10 +372,10 @@ class TestBoxLoss:
         pred_size = anchor * np.exp(raw.size.values[i])
         pred_yaw = D.bin_center(pred_bin, 4) + raw.bin_res.values[i, pred_bin] * (np.pi / 4)
         pred_box = Box3D(center=pred_center, size=pred_size, yaw=pred_yaw)
-        pred_corners = L.corners_from_box(pred_box)
+        pred_corners = corners_oracle(pred_box)
 
         def corner_dist(gt_box):
-            gtc = L.corners_from_box(gt_box)
+            gtc = corners_oracle(gt_box)
             return np.abs(pred_corners - gtc).sum(axis=1).mean()
 
         flipped = Box3D(center=gt.center, size=gt.size, yaw=D.normalize_yaw(gt.yaw + np.pi))

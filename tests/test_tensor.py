@@ -624,8 +624,9 @@ OP_CASES = {
     "mlp_forward": lambda r: T.mlp_forward(_x(r), T.init_mlp([4, 5, 2], r)),
     "smooth_l1": lambda r: L.smooth_l1(_x(r)),
     "cls_loss": lambda r: L.cls_loss(_x(r), [0, 3, 1]),
+    "corners_in_graph": lambda r: L.corners_in_graph(_x(r, (3, 3)), _x(r, (3, 3)), _x(r, (3, 1))),
 }
-for _name in ("exp", "cos", "sin", "absolute", "sigmoid", "relu", "row_sum", "sum_all", "mean_all"):
+for _name in ("exp", "absolute", "sigmoid", "relu", "row_sum", "sum_all", "mean_all"):
     OP_CASES[_name] = lambda r, op=getattr(T, _name): op(_x(r))
 
 
