@@ -147,29 +147,20 @@ def _train_setup(args) -> tuple[D.ModelConfig, H.TrainConfig]:
     model, synth, train = _load_config_file(args.config)
     if model is None:
         anchors = [tuple(spec.mean_size) for spec in synth.classes]
-        model = D.default_model_config(num_classes=len(anchors), anchors=anchors)
+        model = D.default_model_config(anchors)
     return model, _override(train, args, {"seed": "seed", "epochs": "epochs", "lr": "peak_lr"})
 
 
 def _training_scenes(data_dir, model: D.ModelConfig) -> list[tuple[DT.Scene, str]]:
     """The dataset under data_dir, checked before any output is written: a
-    label whose class the model lacks is an error naming its label file, a
-    cloud whose channels the model does not take one naming its cloud file."""
+    label whose class the model lacks is an error naming its label file."""
     scenes = DT.dataset(data_dir)
     for scene, sid in scenes:
         try:
             H.check_label_classes(scene.objects, model.num_classes)
         except ValueError as err:
             raise ValueError(f"{Path(data_dir) / f'{sid}.json'}: {err}") from err
-        _check_channels(Path(data_dir) / f"{sid}.bin", scene.cloud, model)
     return scenes
-
-
-def _check_channels(path, cloud, model: D.ModelConfig) -> None:
-    try:
-        H.check_cloud_channels(cloud, model.in_channels)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +305,18 @@ def cmd_train(args) -> int:
 
 
 def _load_model(path) -> tuple[D.ModelConfig, D.ModelParams]:
+    """The model a checkpoint records. Checkpoints written while the model
+    config still named its input width record "in_channels": 1, the width
+    the cloud format fixes; that key is dropped, and any other value stays
+    an unknown key."""
     arrays, meta = T.load_checkpoint(path)
     if "model_config" not in meta:
         raise ValueError(f"checkpoint {path} carries no model config")
-    config = config_from_dict(D.ModelConfig, meta["model_config"], "model_config")
+    recorded = meta["model_config"]
+    width = recorded.get("in_channels") if isinstance(recorded, dict) else None
+    if type(width) is int and width == D.CLOUD_CHANNELS:
+        recorded = {k: v for k, v in recorded.items() if k != "in_channels"}
+    config = config_from_dict(D.ModelConfig, recorded, "model_config")
     params = D.init_model_params(config, seed=0)
     T.load_into(params.named(), arrays)
     return config, params
@@ -327,7 +326,6 @@ def cmd_detect(args) -> int:
     config, params = _load_model(args.model)
     config = _override(config, args, {"score_threshold": "score_threshold", "nms_iou": "nms_iou"})
     cloud = DT.read_cloud(args.input)
-    _check_channels(args.input, cloud, config)
     out_path = Path(args.out)
     resolved = {"model": dataclasses.asdict(config)}
 

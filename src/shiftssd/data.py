@@ -16,12 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .detector import Box3D, Detection, bev_intersection_area, normalize_yaw
+from .detector import CLOUD_CHANNELS, Box3D, Detection, bev_intersection_area, normalize_yaw
 from .geometry import PointCloud
 
 log = logging.getLogger("shiftssd")
 
-_RECORD_BYTES = 16  # four little-endian float32 per point
+_RECORD_FLOATS = 3 + CLOUD_CHANNELS  # x, y, z, then the feature channels
+_RECORD_BYTES = 4 * _RECORD_FLOATS  # little-endian float32
 
 
 @dataclass
@@ -178,8 +179,8 @@ def generate_scene(config: SynthConfig, seed: int) -> Scene:
 
 
 def write_cloud(path, cloud: PointCloud) -> None:
-    if cloud.channels != 1:
-        raise ValueError("cloud files carry exactly one intensity channel")
+    if cloud.channels != CLOUD_CHANNELS:
+        raise ValueError(f"cloud files carry {CLOUD_CHANNELS} feature channel per point, got {cloud.channels}")
     rows = np.hstack([cloud.positions, cloud.features]).astype("<f4")
     Path(path).write_bytes(rows.tobytes())
 
@@ -190,9 +191,9 @@ def read_cloud(path) -> PointCloud:
         raise ValueError(
             f"{path}: byte count {len(blob)} is not a positive multiple of {_RECORD_BYTES}"
         )
-    rows = np.frombuffer(blob, dtype="<f4").reshape(-1, 4).astype(np.float64)
+    rows = np.frombuffer(blob, dtype="<f4").reshape(-1, _RECORD_FLOATS).astype(np.float64)
     try:
-        return PointCloud(positions=rows[:, :3], features=rows[:, 3:4])
+        return PointCloud(positions=rows[:, :3], features=rows[:, 3:])
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
 
@@ -295,8 +296,8 @@ def dataset(directory) -> list[tuple[Scene, str]]:
     """Load every paired scene, in lexicographic id order.
 
     A .bin without its .json (or the reverse) is an error naming the
-    orphan. Run manifests (manifest.json) are not scene files and are
-    skipped.
+    orphan, and so is a directory with no scene pair. Run manifests
+    (manifest.json) are not scene files and are skipped.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -309,6 +310,8 @@ def dataset(directory) -> list[tuple[Scene, str]]:
             f"{name}.json" if name in bins else f"{name}.bin" for name in orphans
         ]
         raise ValueError(f"unpaired dataset files in {root}: {', '.join(missing)}")
+    if not bins:
+        raise ValueError(f"dataset directory {root} holds no scene (<id>.bin with <id>.json)")
     scenes = []
     for stem in sorted(bins):
         cloud = read_cloud(root / f"{stem}.bin")

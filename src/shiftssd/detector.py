@@ -18,6 +18,7 @@ from . import ssa as S
 from . import tensor as T
 
 TWO_PI = 2.0 * np.pi
+CLOUD_CHANNELS = 1  # feature channels per point in the cloud format: intensity
 
 
 def normalize_yaw(yaw: float) -> float:
@@ -65,7 +66,6 @@ class ModelConfig:
     stage_ssa: list[S.SsaConfig]
     num_classes: int
     anchors: list[tuple[float, float, float]]
-    in_channels: int = 1
     vote_hidden: list[int] = field(default_factory=lambda: [64])
     agg_radius: float = 4.0
     agg_k: int = 16
@@ -100,8 +100,6 @@ class ModelConfig:
         anchors = np.asarray(self.anchors, dtype=np.float64)
         if not (np.isfinite(anchors).all() and (anchors > 0).all()):
             raise ValueError("anchor sizes must be finite and positive on each axis")
-        if self.in_channels < 0:
-            raise ValueError("in_channels must be >= 0")
         if not (np.isfinite(self.assign_margin) and self.assign_margin >= 0):
             raise ValueError("assign_margin must be finite and non-negative")
         if not (np.isfinite(self.score_threshold) and np.isfinite(self.nms_iou)):
@@ -115,17 +113,12 @@ def with_stage_fields(config: ModelConfig, **fields) -> ModelConfig:
     return replace(config, stage_ssa=[replace(cfg, **fields) for cfg in config.stage_ssa])
 
 
-def default_model_config(
-    num_classes: int = 2,
-    anchors: list[tuple[float, float, float]] | None = None,
-) -> ModelConfig:
-    """The 512->128->64->32 toy schedule with two grouping scales per stage.
-    Stages keep the SsaConfig defaults: shift ratio 1/8, farthest partner
-    selection and the cs exchange."""
+def default_model_config(anchors: list[tuple[float, float, float]] | None = None) -> ModelConfig:
+    """The 512->128->64->32 toy schedule with two grouping scales per stage,
+    one class per anchor size. Stages keep the SsaConfig defaults: shift
+    ratio 1/8, farthest partner selection and the cs exchange."""
     if anchors is None:
-        anchors = [(4.2, 1.9, 1.6), (0.8, 0.8, 1.7)][:num_classes]
-        while len(anchors) < num_classes:
-            anchors.append((2.0, 2.0, 2.0))
+        anchors = [(4.2, 1.9, 1.6), (0.8, 0.8, 1.7)]
 
     def stage(radii, widths):
         return S.SsaConfig(
@@ -144,7 +137,7 @@ def default_model_config(
             stage((3.0, 6.0), [48, 48]),
             stage((4.0, 8.0), [64, 64]),
         ],
-        num_classes=num_classes,
+        num_classes=len(anchors),
         anchors=anchors,
     )
 
@@ -183,7 +176,7 @@ def count_parameters(params: ModelParams) -> int:
 def init_model_params(config: ModelConfig, seed: int) -> ModelParams:
     rng = np.random.default_rng(G.derive_seed(seed, 777))
     backbone = []
-    channels = config.in_channels
+    channels = CLOUD_CHANNELS
     for ssa_cfg in config.stage_ssa:
         backbone.append(S.init_ssa_params(ssa_cfg, channels, rng))
         channels = ssa_cfg.out_channels

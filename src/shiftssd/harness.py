@@ -146,13 +146,6 @@ def check_label_classes(objects: list[tuple[D.Box3D, int]], num_classes: int) ->
             raise ValueError(f"label {i} has class_id {cls}, but the model has {num_classes} classes")
 
 
-def check_cloud_channels(cloud: G.PointCloud, in_channels: int) -> None:
-    """Reject a cloud whose feature channel count is not the model's
-    in_channels, which the first layer would otherwise reject mid-run."""
-    if cloud.channels != in_channels:
-        raise ValueError(f"cloud channel count {cloud.channels} != model.in_channels {in_channels}")
-
-
 def train_toy(
     scenes: list[tuple[DT.Scene, str]],
     model_config: D.ModelConfig,
@@ -166,15 +159,13 @@ def train_toy(
     around the moving vote candidates is re-sampled every step. A
     failed step, such as one with a non-finite loss, raises TrainingAborted.
     A label whose class_id exceeds model_config.num_classes is a ValueError
-    naming its scene, raised before any step, as is a cloud whose channel
-    count is not model_config.in_channels.
+    naming its scene, raised before any step.
     """
     if not scenes:
         raise ValueError("training needs at least one scene")
     for scene, sid in scenes:
         try:
             check_label_classes(scene.objects, model_config.num_classes)
-            check_cloud_channels(scene.cloud, model_config.in_channels)
         except ValueError as err:
             raise ValueError(f"scene {sid}: {err}") from err
     params = D.init_model_params(model_config, seed=train_config.seed)
@@ -205,14 +196,7 @@ def train_toy(
                 # lets the allocator hand the memory back to the OS, and each
                 # step then page-faults its whole graph in again.
                 out = D.model_forward(scene.cloud, model_config, params, fwd_seed, frozen=frozen)
-                breakdown, total, _ = L.compute_loss(
-                    out.raw,
-                    out.offsets,
-                    out.candidates,
-                    out.stages[-1].positions,
-                    scene.objects,
-                    model_config,
-                )
+                breakdown, total, _ = L.compute_loss(out, scene.objects, model_config)
                 if not np.isfinite(breakdown.total):
                     raise T.NonFiniteError(f"loss is {breakdown.total}")
                 opt.zero_grad()
@@ -279,10 +263,7 @@ def evaluate(
         m, t = match_recall(D.postprocess(out, model_config), scene.objects)
         matched += m
         total += t
-        breakdown, _, _ = L.compute_loss(
-            out.raw, out.offsets, out.candidates, out.stages[-1].positions,
-            scene.objects, model_config,
-        )
+        breakdown, _, _ = L.compute_loss(out, scene.objects, model_config)
         losses.append(breakdown.total)
     recall = matched / total if total else 1.0
     return recall, float(np.mean(losses))
@@ -676,10 +657,7 @@ def gradcheck_detector(seed: int, eps: float = 1e-5) -> float:
         params = D.init_model_params(model, seed=G.derive_seed(seed, 42, offset))
         fwd_seed = G.derive_seed(seed, 43, offset)
         out = D.model_forward(scene.cloud, model, params, fwd_seed)
-        _, _, targets = L.compute_loss(
-            out.raw, out.offsets, out.candidates, out.stages[-1].positions,
-            scene.objects, model,
-        )
+        _, _, targets = L.compute_loss(out, scene.objects, model)
         if targets.positive.any():
             break
     else:
@@ -688,10 +666,7 @@ def gradcheck_detector(seed: int, eps: float = 1e-5) -> float:
 
     def f():
         fwd = D.model_forward(scene.cloud, model, params, fwd_seed, frozen=frozen)
-        _, total, _ = L.compute_loss(
-            fwd.raw, fwd.offsets, fwd.candidates, fwd.stages[-1].positions,
-            scene.objects, model,
-        )
+        _, total, _ = L.compute_loss(fwd, scene.objects, model)
         return total
 
     return T.grad_check(f, params.tensors(), eps=eps)

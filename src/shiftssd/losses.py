@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .detector import CORNER_SIGNS, FLIPPED_CORNERS, box_corners
-from .detector import Box3D, ModelConfig, RawPrediction, bin_center, encode_angle
+from .detector import Box3D, ForwardOutput, ModelConfig, RawPrediction, bin_center, encode_angle
 
 
 @dataclass
@@ -199,12 +199,13 @@ def box_loss(
     size = smooth_l1(T.sub(size_res, T.Tensor(np.log(gt_sizes / anchors))))
 
     bin_logits = T.gather_rows(raw.bin_logits, pos)
-    res_sel = _select_bin_column(T.gather_rows(raw.bin_res, pos), gt_bins)
+    bin_res = T.gather_rows(raw.bin_res, pos)
+    res_sel = _select_bin_column(bin_res, gt_bins)
     angle = T.add(cls_loss(bin_logits, gt_bins), smooth_l1(T.sub(res_sel, T.Tensor(gt_res))))
 
     pred_size = T.mul(T.Tensor(anchors), T.exp(size_res))
     pred_bins = bin_logits.values.argmax(axis=1)
-    pred_res = _select_bin_column(T.gather_rows(raw.bin_res, pos), pred_bins)
+    pred_res = _select_bin_column(bin_res, pred_bins)
     centers_for_bins = np.array(
         [[bin_center(b, bins)] for b in pred_bins], dtype=np.float64
     )
@@ -244,17 +245,15 @@ def total_loss(
 
 
 def compute_loss(
-    raw: RawPrediction,
-    offsets: T.Tensor,
-    candidates: T.Tensor,
-    cluster_positions: np.ndarray,
+    out: ForwardOutput,
     objects: list[tuple[Box3D, int]],
     config: ModelConfig,
 ) -> tuple[LossBreakdown, T.Tensor, TargetSet]:
-    """Assemble the full objective for one scene's forward pass."""
-    targets = assign_targets(cluster_positions, objects, margin=config.assign_margin)
-    off = offset_loss(offsets, targets)
-    cls = cls_loss(raw.cls_logits, targets.class_ids)
-    loc, size, angle, corner = box_loss(raw, candidates, targets, config)
+    """Assemble the full objective for one scene's forward pass; targets
+    are assigned at the last stage's cluster positions."""
+    targets = assign_targets(out.stages[-1].positions, objects, margin=config.assign_margin)
+    off = offset_loss(out.offsets, targets)
+    cls = cls_loss(out.raw.cls_logits, targets.class_ids)
+    loc, size, angle, corner = box_loss(out.raw, out.candidates, targets, config)
     breakdown, total = total_loss(off, cls, loc, size, angle, corner)
     return breakdown, total, targets

@@ -143,27 +143,35 @@ class TestUsage:
         assert "scene_0001.json: label 0 has class_id 3, but the model has 2 classes" in capsys.readouterr().err
         assert not list(tmp_path.glob("out*"))  # neither --out nor its manifest
 
-    @pytest.mark.parametrize("subcommand", ["train", "ablate", "detect"])
-    def test_in_channels_mismatch_exits_2_naming_cloud(self, tmp_path, small_config_file, capsys, subcommand):
-        # every cloud file carries one feature channel
-        config = json.loads(Path(small_config_file).read_text())
-        config["model"]["in_channels"] = 2
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(config))
-        data_dir = tmp_path / "data"
-        assert run(["gen", "--scenes", 2, "--out", data_dir, "--seed", 11, "--config", bad]) == 0
-        if subcommand == "detect":
-            model = cli.config_from_dict(D.ModelConfig, config["model"])
-            ckpt = tmp_path / "bad.ckpt"
+    @pytest.mark.parametrize("subcommand", ["train", "ablate", "probe", "bench"])
+    def test_empty_dataset_exits_2_naming_directory(self, tmp_path, small_config_file, capsys, subcommand):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        argv = [subcommand, "--data", empty, "--out", tmp_path / "out", "--seed", 1, "--config", small_config_file]
+        if subcommand == "probe":
+            model = cli.config_from_dict(D.ModelConfig, json.loads(Path(small_config_file).read_text())["model"])
+            ckpt = tmp_path / "model.ckpt"
             meta = {"model_config": dataclasses.asdict(model)}
             T.save_checkpoint(ckpt, D.init_model_params(model, seed=0).named(), meta=meta)
-            argv = ["detect", "--model", ckpt, "--in", data_dir / "scene_0000.bin"]
-        else:
-            argv = [subcommand, "--data", data_dir, "--config", bad, "--epochs", 1]
+            argv += ["--model", ckpt]
         capsys.readouterr()
-        assert run(argv + ["--out", tmp_path / "out", "--seed", 1]) == 2
-        assert "scene_0000.bin: cloud channel count 1 != model.in_channels 2" in capsys.readouterr().err
+        assert run(argv) == 2
+        assert f"dataset directory {empty} holds no scene" in capsys.readouterr().err
         assert not list(tmp_path.glob("out*"))  # neither --out nor its manifest
+        assert list(empty.iterdir()) == []
+
+    def test_config_naming_in_channels_exits_1(self, tmp_path, trained_model, small_config_file, capsys):
+        # the cloud format fixes the input width, so no config names it
+        data_dir, _ = trained_model
+        config = json.loads(Path(small_config_file).read_text())
+        config["model"]["in_channels"] = 1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        fresh = tmp_path / "fresh"
+        capsys.readouterr()
+        assert run(["bench", "--data", data_dir, "--out", fresh / "bench.csv", "--seed", 1, "--config", bad]) == 1
+        assert "model.in_channels: unknown key" in capsys.readouterr().err
+        assert not fresh.exists()
 
     @pytest.mark.parametrize(
         "edit, where",
@@ -198,7 +206,7 @@ class TestUsage:
             (lambda c: c["synth"].update(point_jitter=-1), "synth: point_jitter"),
             (lambda c: c["synth"]["classes"][1].update(mean_size=[0.6, 0.0, 1.6]), "synth.classes[1]: mean_size"),
             (lambda c: c["synth"]["classes"][0].update(size_jitter=[0.2, 1.5, 0.1]), "synth.classes[0]: size_jitter"),
-            (lambda c: c["model"].update(in_channels=-3), "model: in_channels"),
+            (lambda c: c["model"].update(in_channels=1), "model.in_channels: unknown key"),
             (lambda c: c["model"].update(assign_margin=float("nan")), "model: assign_margin"),
             (lambda c: c["model"]["anchors"][1].__setitem__(0, 0.0), "model: anchor sizes"),
             (lambda c: c["synth"].update(extent=2.5), "synth: extent 2.5 is below the largest class's BEV diagonal"),
@@ -209,7 +217,7 @@ class TestUsage:
             "agg_a_width_0", "scale_width_0", "stage_points_0", "scale_radius_nan", "r_prime_nan",
             "derived_r_prime_overflow", "candidate_k_0", "aggregation_width_0", "beta1_1", "beta2_above_1", "adam_eps_0", "div_factor_0",
             "final_div_factor_negative", "noise_height_inf", "point_jitter_negative", "mean_size_0",
-            "size_jitter_above_mean", "in_channels_negative", "assign_margin_nan", "anchor_size_0",
+            "size_jitter_above_mean", "in_channels_unknown", "assign_margin_nan", "anchor_size_0",
             "extent_below_diagonal",
         ],
     )
@@ -346,6 +354,15 @@ def trained_model(tmp_path, small_config_file):
     return data_dir, run_dir / "model.ckpt"
 
 
+def with_recorded_in_channels(ckpt, path, width):
+    """A copy of checkpoint ckpt at path whose model config records in_channels."""
+    header, blob = ckpt.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    header["meta"]["model_config"]["in_channels"] = width
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+    return path
+
+
 class TestTrainDetect:
     def test_train_outputs(self, trained_model):
         _, ckpt = trained_model
@@ -394,6 +411,32 @@ class TestTrainDetect:
             ]) == 0
             outs.append(out.read_bytes())
         assert outs[0] and outs[0] == outs[1]
+
+    def test_checkpoint_recording_in_channels_1_detects_the_same(self, tmp_path, trained_model):
+        # checkpoints written while the model config named its input width
+        data_dir, ckpt = trained_model
+        assert "in_channels" not in T.load_checkpoint(ckpt)[1]["model_config"]
+        legacy = with_recorded_in_channels(ckpt, tmp_path / "legacy.ckpt", 1)
+        assert cli._load_model(legacy)[0] == cli._load_model(ckpt)[0]
+        outs = []
+        for model in (ckpt, legacy):
+            out = tmp_path / f"{model.stem}.jsonl"
+            assert run([
+                "detect", "--model", model, "--in", data_dir / "scene_0000.bin",
+                "--out", out, "--seed", 5, "--score-threshold", 0.0,
+            ]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] and outs[0] == outs[1]
+
+    @pytest.mark.parametrize("width", [2, 0, 1.0, True])
+    def test_checkpoint_recording_other_in_channels_exits_2(self, tmp_path, trained_model, capsys, width):
+        data_dir, ckpt = trained_model
+        bad = with_recorded_in_channels(ckpt, tmp_path / "bad.ckpt", width)
+        out = tmp_path / "dets.jsonl"
+        capsys.readouterr()
+        assert run(["detect", "--model", bad, "--in", data_dir / "scene_0000.bin", "--out", out, "--seed", 5]) == 2
+        assert "model_config.in_channels: unknown key" in capsys.readouterr().err
+        assert not list(tmp_path.glob("dets*"))  # neither --out nor its manifest
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_divergence_writes_failure_dump(self, tmp_path, trained_model, small_config_file, capsys):
@@ -596,7 +639,6 @@ def model_configs(draw):
         stage_ssa=draw(st.lists(ssa_configs(), min_size=len(points), max_size=len(points))),
         num_classes=classes,
         anchors=draw(st.lists(_triple, min_size=classes, max_size=classes)),
-        in_channels=draw(st.integers(1, 4)),
         vote_hidden=draw(_widths),
         agg_radius=draw(st.floats(0.01, 10.0, **_finite)),
         agg_k=draw(st.integers(1, 32)),

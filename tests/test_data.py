@@ -116,6 +116,12 @@ class TestCloudIO:
         np.testing.assert_array_equal(back.positions, pos)
         np.testing.assert_array_equal(back.features, inten)
 
+    def test_write_rejects_other_channel_counts(self, tmp_path):
+        cloud = PointCloud(positions=[[0.0, 0.0, 0.0]], features=[[0.1, 0.2]])
+        with pytest.raises(ValueError, match="1 feature channel per point, got 2"):
+            DT.write_cloud(tmp_path / "two.bin", cloud)
+        assert not (tmp_path / "two.bin").exists()
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.bin"
         path.write_bytes(b"")
@@ -356,6 +362,12 @@ class TestDataset:
         for (box, cls), (box2, cls2) in zip(scene.objects, loaded.objects):
             assert cls == cls2
             np.testing.assert_array_equal(box.center, box2.center)
+
+    def test_directory_without_scenes_rejected(self, tmp_path):
+        (tmp_path / "manifest.json").write_text("{}")  # a run manifest is not a scene
+        with pytest.raises(ValueError) as caught:
+            DT.dataset(tmp_path)
+        assert str(caught.value).startswith(f"dataset directory {tmp_path} holds no scene")
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):

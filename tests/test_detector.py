@@ -27,7 +27,6 @@ def tiny_config(exchange="cs", stages=((12, (1.5, 3.0)), (6, (2.5, 5.0)))):
         stage_ssa=ssa_cfgs,
         num_classes=2,
         anchors=[(2.0, 1.0, 1.0), (0.8, 0.8, 1.6)],
-        in_channels=1,
         vote_hidden=[8],
         agg_radius=3.0,
         agg_k=6,
@@ -126,6 +125,18 @@ class TestBackbone:
         params = D.init_model_params(config, seed=1)
         out = D.model_forward(cloud, config, params, seed=2)
         assert out.stages[-1].aggregated.shape == (32, config.stage_ssa[-1].out_channels)
+
+    def test_default_model_has_one_class_per_anchor(self):
+        config = D.default_model_config()
+        assert config.anchors == [(4.2, 1.9, 1.6), (0.8, 0.8, 1.7)] and config.num_classes == 2
+        anchors = [(1.0, 1.0, 1.0)] * 3
+        config = D.default_model_config(anchors)
+        assert config.anchors == anchors and config.num_classes == 3
+
+    def test_first_stage_takes_the_cloud_format_width(self):
+        params = D.init_model_params(tiny_config(), seed=0)
+        assert {mlp.layers[0].in_width for mlp in params.backbone[0].f_mlps} == {3 + D.CLOUD_CHANNELS}
+        assert tiny_cloud(np.random.default_rng(0)).channels == D.CLOUD_CHANNELS
 
     def test_insufficient_points(self):
         rng = np.random.default_rng(2)

@@ -151,15 +151,6 @@ class TestTrainToy:
             H.train_toy([(first, first_id), (edited, second_id)], tiny_config(), H.TrainConfig(epochs=1, seed=0))
         assert forwards == []
 
-    def test_in_channels_mismatch_rejected_before_any_step(self, tiny_scenes, monkeypatch):
-        forwards = []
-        monkeypatch.setattr(D, "model_forward", lambda *a, **k: forwards.append(a))
-        config = dataclasses.replace(tiny_config(), in_channels=2)
-        first_id = tiny_scenes[0][1]
-        with pytest.raises(ValueError, match=f"^scene {first_id}: cloud channel count 1 != model.in_channels 2$"):
-            H.train_toy(tiny_scenes, config, H.TrainConfig(epochs=1, seed=0))
-        assert forwards == []
-
 
 # Two default-model epochs on two 2048-point scenes; prints a digest of the
 # trained parameter bytes.
@@ -216,9 +207,7 @@ class TestEvaluate:
             matched += m
             total += t
             out = D.model_forward(scene.cloud, config, params, fwd_seed)
-            breakdown, _, _ = L.compute_loss(
-                out.raw, out.offsets, out.candidates, out.stages[-1].positions, scene.objects, config
-            )
+            breakdown, _, _ = L.compute_loss(out, scene.objects, config)
             losses.append(breakdown.total)
         expected = (matched / total, float(np.mean(losses)))
         assert 0 < matched

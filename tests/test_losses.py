@@ -5,6 +5,7 @@ import pytest
 
 from shiftssd import detector as D
 from shiftssd import losses as L
+from shiftssd import ssa as S
 from shiftssd import tensor as T
 from shiftssd.detector import Box3D
 
@@ -12,11 +13,7 @@ from shiftssd.detector import Box3D
 def small_config():
     return D.ModelConfig(
         stage_points=(4,),
-        stage_ssa=[
-            __import__("shiftssd.ssa", fromlist=["ssa"]).SsaConfig(
-                scales=[__import__("shiftssd.ssa", fromlist=["ssa"]).ScaleConfig(radius=1.0, k=2, mlp=[4])]
-            )
-        ],
+        stage_ssa=[S.SsaConfig(scales=[S.ScaleConfig(radius=1.0, k=2, mlp=[4])])],
         num_classes=2,
         anchors=[(2.0, 1.0, 1.0), (1.0, 1.0, 2.0)],
         angle_bins=4,
@@ -429,9 +426,13 @@ class TestTotalLoss:
             bin_logits=T.Tensor(rng.normal(size=(2, 4))),
             bin_res=T.Tensor(rng.normal(size=(2, 4))),
         )
-        offsets = T.Tensor(rng.normal(size=(2, 3)))
-        breakdown, _, _ = L.compute_loss(
-            raw, offsets, T.Tensor(candidates), clusters, [(box, 1)], config
+        out = D.ForwardOutput(
+            stages=[S.ClusterFeatures(positions=clusters, aggregated=T.Tensor(np.zeros((2, 1))))],
+            offsets=T.Tensor(rng.normal(size=(2, 3))),
+            candidates=T.Tensor(candidates),
+            raw=raw,
+            decisions=D.DetectorDecisions(stages=[]),
         )
+        breakdown, _, _ = L.compute_loss(out, [(box, 1)], config)
         for value in dataclasses.asdict(breakdown).values():
             assert value >= 0.0

@@ -47,7 +47,7 @@ def test_pipeline_calls_reach_the_traced_attributes(tmp_path, monkeypatch):
     params = D.init_model_params(model, seed=4)
     DT.write_detections(tmp_path / "dets.jsonl", "scene", D.detect(cloud, model, params, seed=5))
     out = D.model_forward(cloud, model, params, seed=5)
-    _, total, _ = L.compute_loss(out.raw, out.offsets, out.candidates, out.stages[-1].positions, scene.objects, model)
+    _, total, _ = L.compute_loss(out, scene.objects, model)
     total.backward()
     H.Adam(params.tensors()).step(1e-3)
 
