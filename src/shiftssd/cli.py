@@ -485,12 +485,13 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="shiftssd", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
+    def add_common(p, config: bool = False):
         p.add_argument("--seed", type=int, required=True, help="master random seed")
-        p.add_argument("--config", type=str, default=None, help="JSON config file")
+        if config:
+            p.add_argument("--config", type=str, default=None, help="JSON config file")
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
-    add_common(p)
+    add_common(p, config=True)
     p.add_argument("--scenes", type=_int_at_least(1), required=True)
     p.add_argument("--out", type=str, required=True)
     p.add_argument("--points", type=int, default=None)
@@ -501,7 +502,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="overfit the toy detector on a dataset")
-    add_common(p)
+    add_common(p, config=True)
     p.add_argument("--data", type=str, required=True)
     p.add_argument("--out", type=str, required=True)
     p.add_argument("--epochs", type=int, default=None)
@@ -528,14 +529,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("bench", help="forward latency and parameter counts")
-    add_common(p)
+    add_common(p, config=True)
     p.add_argument("--data", type=str, required=True)
     p.add_argument("--out", type=str, required=True)
     p.add_argument("--reps", type=_int_at_least(H.MIN_REPETITIONS), default=20)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("ablate", help="one-axis-at-a-time ablation sweep")
-    add_common(p)
+    add_common(p, config=True)
     p.add_argument("--data", type=str, required=True)
     p.add_argument("--out", type=str, required=True)
     p.add_argument("--axis", choices=[*H.ABLATION_AXES, "all"], default="all")

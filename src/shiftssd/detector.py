@@ -395,12 +395,9 @@ def decode_box(
     anchor: np.ndarray,
     bins: int,
 ) -> Box3D:
-    anchor = np.asarray(anchor, dtype=np.float64)
-    if not (np.isfinite(center_res).all() and np.isfinite(size_res).all() and np.isfinite(bin_res)):
-        raise ValueError("non-finite box prediction")
     return Box3D(
         center=np.asarray(candidate, dtype=np.float64) + np.asarray(center_res, dtype=np.float64),
-        size=anchor * np.exp(np.asarray(size_res, dtype=np.float64)),
+        size=np.asarray(anchor, dtype=np.float64) * np.exp(np.asarray(size_res, dtype=np.float64)),
         yaw=decode_angle(bin_id, bin_res, bins),
     )
 
@@ -467,13 +464,10 @@ def _clip_polygon(subject: np.ndarray, clip: np.ndarray) -> list[np.ndarray]:
     return output
 
 
-def _footprints(boxes: list[Box3D]) -> np.ndarray:
-    """n×4×2 BEV rectangles: the bottom face of each box's corners."""
-    return box_corners([b.center for b in boxes], [b.size for b in boxes], [b.yaw for b in boxes])[:, :4, :2]
-
-
 def bev_intersection_area(a: Box3D, b: Box3D) -> float:
-    return _polygon_area(_clip_polygon(*_footprints([a, b])))
+    """Area shared by the two boxes' BEV rectangles (their bottom faces)."""
+    feet = box_corners([a.center, b.center], [a.size, b.size], [a.yaw, b.yaw])[:, :4, :2]
+    return _polygon_area(_clip_polygon(*feet))
 
 
 def bev_rotated_iou(a: Box3D, b: Box3D) -> float:
@@ -489,14 +483,9 @@ def bev_rotated_iou(a: Box3D, b: Box3D) -> float:
 
 def iou3d(a: Box3D, b: Box3D) -> float:
     """BEV intersection times vertical overlap, over the volume union."""
-    return _iou3d(a, b, *_footprints([a, b]))
-
-
-def _iou3d(a: Box3D, b: Box3D, fa: np.ndarray, fb: np.ndarray) -> float:
-    """iou3d given the two boxes' footprints."""
     if a.volume() <= 0 or b.volume() <= 0:
         raise ValueError("degenerate zero-volume box")
-    inter_area = _polygon_area(_clip_polygon(fa, fb))
+    inter_area = bev_intersection_area(a, b)
     z_lo = max(a.center[2] - a.size[2] / 2.0, b.center[2] - b.size[2] / 2.0)
     z_hi = min(a.center[2] + a.size[2] / 2.0, b.center[2] + b.size[2] / 2.0)
     inter = inter_area * max(0.0, z_hi - z_lo)
@@ -515,11 +504,9 @@ def nms3d(detections: list[Detection], iou_threshold: float) -> list[Detection]:
     gap = np.sqrt(((xy[:, None] - xy) ** 2).sum(axis=2)) - (reach[:, None] + reach)
     slack = 1e-9 * (1.0 + np.abs(xy).max(initial=0.0) + reach.max(initial=0.0))
     apart = (gap > slack) & (iou_threshold >= 0)
-    boxes = [det.box for det in detections]
-    feet = _footprints(boxes)
     kept: list[int] = []
     for i in order:
-        if all(apart[i, j] or _iou3d(boxes[i], boxes[j], feet[i], feet[j]) <= iou_threshold for j in kept):
+        if all(apart[i, j] or iou3d(detections[i].box, detections[j].box) <= iou_threshold for j in kept):
             kept.append(i)
     return [detections[i] for i in kept]
 

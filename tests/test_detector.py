@@ -436,8 +436,8 @@ class TestNms:
         ]
         ref = nms_reference(dets, thr)
         calls = []
-        pair_iou = D._iou3d
-        monkeypatch.setattr(D, "_iou3d", lambda *args: calls.append(1) or pair_iou(*args))
+        pair_iou = D.iou3d
+        monkeypatch.setattr(D, "iou3d", lambda *args: calls.append(1) or pair_iou(*args))
         got = D.nms3d(dets, thr)
         assert [d.score for d in got] == [d.score for d in ref]
         if thr >= 0:
@@ -445,6 +445,19 @@ class TestNms:
             assert len(calls) < len(ref) * (len(ref) - 1) // 2  # far pairs skipped
         else:
             assert len(ref) == 1  # IoU 0 exceeds a negative threshold
+
+    def test_overlapping_pairs_go_through_iou3d(self, monkeypatch):
+        # a trace of detect counts NMS pair overlaps by wrapping iou3d
+        dets = [
+            D.Detection(box=D.Box3D(center=[0.1 * i, 0.0, 0.0], size=[2.0, 1.0, 1.0], yaw=0.2 * i),
+                        class_id=1, score=0.9 - 0.1 * i)
+            for i in range(4)
+        ]
+        calls = []
+        pair_iou = D.iou3d
+        monkeypatch.setattr(D, "iou3d", lambda a, b: calls.append(1) or pair_iou(a, b))
+        assert len(D.nms3d(dets, 0.99)) == 4
+        assert len(calls) == 6  # every pair of kept boxes
 
 
 class TestDetect:
