@@ -10,6 +10,7 @@ on plain arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -26,25 +27,34 @@ def normalize_yaw(yaw: float) -> float:
     return float((yaw + np.pi) % TWO_PI - np.pi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Box3D:
-    """Oriented box: center (m), size l/w/h (m), yaw about +z (rad)."""
+    """Oriented box: center (m), size l/w/h (m), yaw about +z (rad); frozen, with
+    read-only copies of center and size, so the cached footprint cannot go stale."""
 
     center: np.ndarray
     size: np.ndarray
     yaw: float
 
     def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=np.float64).reshape(3)
-        self.size = np.asarray(self.size, dtype=np.float64).reshape(3)
-        if not (np.isfinite(self.center).all() and np.isfinite(self.size).all() and np.isfinite(self.yaw)):
+        center = np.array(self.center, dtype=np.float64).reshape(3)
+        size = np.array(self.size, dtype=np.float64).reshape(3)
+        if not (np.isfinite(center).all() and np.isfinite(size).all() and np.isfinite(self.yaw)):
             raise ValueError("non-finite box")
-        if (self.size <= 0).any():
+        if (size <= 0).any():
             raise ValueError("box dimensions must be positive")
-        self.yaw = normalize_yaw(float(self.yaw))
+        center.flags.writeable = size.flags.writeable = False
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "yaw", normalize_yaw(float(self.yaw)))
 
     def volume(self) -> float:
         return float(self.size.prod())
+
+    @cached_property
+    def footprint(self) -> list[list[float]]:
+        """The BEV rectangle, its bottom face's corners as [x, y] floats, CCW."""
+        return box_corners(self.center, self.size, self.yaw)[0, :4, :2].tolist()
 
 
 @dataclass
@@ -402,12 +412,14 @@ def decode_box(
     )
 
 
-def decode_boxes(raw: RawPrediction, candidates: np.ndarray, class_ids: np.ndarray, config: ModelConfig) -> list[Box3D]:
-    """Decode every candidate's box using its class anchor and argmax angle bin."""
+def decode_boxes(
+    raw: RawPrediction, candidates: np.ndarray, class_ids: np.ndarray, config: ModelConfig, rows: np.ndarray
+) -> list[Box3D]:
+    """Decode the boxes of candidates `rows`, each with its class anchor and argmax angle bin."""
     boxes = []
     bin_ids = raw.bin_logits.values.argmax(axis=1)
-    for i, cls in enumerate(class_ids):
-        anchor = np.array(config.anchors[int(cls) - 1])
+    for i in rows:
+        anchor = np.array(config.anchors[int(class_ids[i]) - 1])
         b = int(bin_ids[i])
         boxes.append(
             decode_box(
@@ -427,47 +439,46 @@ def decode_boxes(raw: RawPrediction, candidates: np.ndarray, class_ids: np.ndarr
 # rotated IoU and suppression
 
 
-def _polygon_area(poly: list[np.ndarray]) -> float:
+def _polygon_area(poly: list) -> float:
     if len(poly) < 3:
         return 0.0
     area = 0.0
-    for i in range(len(poly)):
-        p, q = poly[i], poly[(i + 1) % len(poly)]
-        area += p[0] * q[1] - q[0] * p[1]
+    for (px, py), (qx, qy) in zip(poly, poly[1:] + poly[:1]):
+        area += px * qy - qx * py
     return abs(area) / 2.0
 
 
-def _clip_polygon(subject: np.ndarray, clip: np.ndarray) -> list[np.ndarray]:
-    """Sutherland-Hodgman clip of a convex subject by a CCW convex polygon."""
-    output = list(subject)
+def _clip_polygon(subject: list, clip: list) -> list:
+    """Sutherland-Hodgman clip of a convex subject by a CCW convex polygon, as [x, y] floats."""
+    output = subject
     n = len(clip)
     for i in range(n):
         if not output:
             break
-        a, b = clip[i], clip[(i + 1) % n]
-        edge = b - a
-        inputs = output
-        output = []
-        prev = inputs[-1]
-        prev_in = edge[0] * (prev[1] - a[1]) - edge[1] * (prev[0] - a[0]) >= 0
+        (ax, ay), (bx, by) = clip[i], clip[(i + 1) % n]
+        ex, ey = bx - ax, by - ay
+        inputs, output = output, []
+        px, py = inputs[-1]
+        prev_in = ex * (py - ay) - ey * (px - ax) >= 0
         for cur in inputs:
-            cur_in = edge[0] * (cur[1] - a[1]) - edge[1] * (cur[0] - a[0]) >= 0
+            cx, cy = cur
+            cur_in = ex * (cy - ay) - ey * (cx - ax) >= 0
             if cur_in != prev_in:
                 # segment crosses the clip line; add the intersection
-                d = cur - prev
-                denom = edge[0] * d[1] - edge[1] * d[0]
-                t = (edge[0] * (a[1] - prev[1]) - edge[1] * (a[0] - prev[0])) / denom
-                output.append(prev + t * d)
+                dx, dy = cx - px, cy - py
+                denom = ex * dy - ey * dx
+                num = ex * (ay - py) - ey * (ax - px)
+                t = num / denom if denom else np.divide(num, denom)  # inf or nan, not an exception
+                output.append((px + t * dx, py + t * dy))
             if cur_in:
                 output.append(cur)
-            prev, prev_in = cur, cur_in
+            px, py, prev_in = cx, cy, cur_in
     return output
 
 
 def bev_intersection_area(a: Box3D, b: Box3D) -> float:
     """Area shared by the two boxes' BEV rectangles (their bottom faces)."""
-    feet = box_corners([a.center, b.center], [a.size, b.size], [a.yaw, b.yaw])[:, :4, :2]
-    return _polygon_area(_clip_polygon(*feet))
+    return _polygon_area(_clip_polygon(a.footprint, b.footprint))
 
 
 def bev_rotated_iou(a: Box3D, b: Box3D) -> float:
@@ -524,10 +535,10 @@ def postprocess(out: ForwardOutput, config: ModelConfig) -> list[Detection]:
     keep = np.flatnonzero(scores >= config.score_threshold)
     if keep.size == 0:
         return []
-    boxes = decode_boxes(out.raw, out.candidates.values, class_ids, config)
+    boxes = decode_boxes(out.raw, out.candidates.values, class_ids, config, keep)
     dets = [
-        Detection(box=boxes[i], class_id=int(class_ids[i]), score=float(scores[i]))
-        for i in keep
+        Detection(box=box, class_id=int(class_ids[i]), score=float(scores[i]))
+        for box, i in zip(boxes, keep)
     ]
     return nms3d(dets, config.nms_iou)
 

@@ -72,14 +72,23 @@ class NeighborTable:
 
 @dataclass
 class RadiusScan:
-    """The (center, point) pairs of one radius scan in row-major order, so
-    each center's points are ascending, with their squared distances."""
+    """The (center, point) pairs of one radius scan as ascending keys
+    `center * points + point`, so each center's points are ascending,
+    with their squared distances."""
 
-    row: np.ndarray  # H int64
-    point: np.ndarray  # H int64
+    keys: np.ndarray  # H int64
     d2: np.ndarray  # H float64
     centers: int  # M, the number of centers scanned
+    points: int  # N, the size of the scanned cloud
     radius: float
+
+    @property
+    def row(self) -> np.ndarray:
+        return self.keys // self.points
+
+    @property
+    def point(self) -> np.ndarray:
+        return self.keys % self.points
 
 
 def pairwise_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -111,33 +120,56 @@ def _sq_dist(cols: np.ndarray, center, out: np.ndarray, tmp: np.ndarray) -> np.n
     return out
 
 
-def dfps(cloud: PointCloud, m: int, seed: int) -> np.ndarray:
+def _keep_hits(d2: np.ndarray, lo: int, r2: float, keys: list, dists: list) -> None:
+    """Append the in-radius keys and distances of distance rows lo, lo + 1, ..."""
+    flat = d2.reshape(-1)
+    inside = np.flatnonzero(flat <= r2)
+    keys.append(lo * d2.shape[1] + inside)
+    dists.append(flat[inside])
+
+
+def dfps(cloud: PointCloud, m: int, seed: int, radius: float | None = None):
     """Distance-based farthest point sampling.
 
     The first index is a seeded uniform draw; each following index
     maximizes the minimum squared distance to everything already
     selected, ties broken by smallest index. Duplicated positions are
     selected at most as often as they occur, never re-selected.
+
+    With a `radius` it returns `(selected, scan)`: the radius_scan of the
+    picks at that radius, kept from the distance rows the sampling computes.
     """
     n = cloud.n
     if m == 0:
         raise ValueError("empty request")
     if m > n:
         raise ValueError("insufficient points")
+    if radius is not None and radius <= 0:
+        raise ValueError("radius must be positive")
     rng = np.random.default_rng(seed)
     first = int(rng.integers(n))
     selected = np.empty(m, dtype=np.int64)
     selected[0] = first
     cols = np.ascontiguousarray(cloud.positions.T)
-    d2, tmp = np.empty(n), np.empty(n)
-    min_d2 = _sq_dist(cols, cols[:, first], np.empty(n), tmp)
+    centers = cloud.positions.tolist()
+    # distance rows go to a block buffer whose in-radius hits are kept per block
+    step = 1 if radius is None else max(1, _SCAN_PAIRS // n)
+    rows, tmp = np.empty((min(step, m), n)), np.empty(n)
+    keys, dists = [], []
+    min_d2 = _sq_dist(cols, centers[first], np.empty(n), tmp)
+    rows[0] = min_d2
     min_d2[first] = -1.0  # mark selected so it can never win again
     for t in range(1, m):
-        nxt = int(np.argmax(min_d2))
+        if radius is not None and t % step == 0:
+            _keep_hits(rows, t - step, radius * radius, keys, dists)
+        nxt = int(min_d2.argmax())
         selected[t] = nxt
-        np.minimum(min_d2, _sq_dist(cols, cols[:, nxt], d2, tmp), out=min_d2)
+        np.minimum(min_d2, _sq_dist(cols, centers[nxt], rows[t % step], tmp), out=min_d2)
         min_d2[nxt] = -1.0
-    return selected
+    if radius is None:
+        return selected
+    _keep_hits(rows[: (m - 1) % step + 1], (m - 1) // step * step, radius * radius, keys, dists)
+    return selected, RadiusScan(np.concatenate(keys), np.concatenate(dists), m, n, float(radius))
 
 
 def radius_scan(cloud: PointCloud, centers: np.ndarray, radius: float) -> RadiusScan:
@@ -149,31 +181,14 @@ def radius_scan(cloud: PointCloud, centers: np.ndarray, radius: float) -> Radius
         raise ValueError("non-finite positions")
     cols = np.ascontiguousarray(cloud.positions.T)
     m, n = centers.shape[0], cloud.n
-    r2 = radius * radius
     step = max(1, _SCAN_PAIRS // n)
     out, tmp = np.empty((min(step, m), n)), np.empty((min(step, m), n))
-    hits, dists = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    keys, dists = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     for lo in range(0, m, step):
         block = centers[lo : lo + step]
-        d2 = _sq_dist(cols, block.T[:, :, None], out[: len(block)], tmp[: len(block)]).reshape(-1)
-        inside = np.flatnonzero(d2 <= r2)
-        hits.append(lo * n + inside)
-        dists.append(d2[inside])
-    row, point = np.divmod(np.concatenate(hits), n)
-    return RadiusScan(row=row, point=point, d2=np.concatenate(dists), centers=m, radius=float(radius))
-
-
-def _coincident_anchors(scan: RadiusScan) -> np.ndarray:
-    """Each center's smallest point index at exactly zero distance."""
-    zero = np.flatnonzero(scan.d2 == 0.0)
-    rows = scan.row[zero]
-    found = np.zeros(scan.centers, dtype=bool)
-    found[rows] = True
-    missing = np.flatnonzero(~found)
-    if missing.size:
-        raise ValueError(f"center {missing[0]} does not coincide with any cloud point")
-    first = np.searchsorted(rows, np.arange(scan.centers))
-    return scan.point[zero[first]]
+        d2 = _sq_dist(cols, block.T[:, :, None], out[: len(block)], tmp[: len(block)])
+        _keep_hits(d2, lo, radius * radius, keys, dists)
+    return RadiusScan(np.concatenate(keys), np.concatenate(dists), m, n, float(radius))
 
 
 def _floyd_subsets(counts: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -211,49 +226,63 @@ def ball_query(
     more than K-1 other points sample, all of them from one seeded
     array draw (`_floyd_subsets`).
 
-    `scan`, a radius_scan of the same cloud and centers at a radius at
-    least this one, replaces this call's own scan; its hits within this
-    radius are exactly the ones a scan at this radius finds.
+    `scan`, a scan of the same cloud and centers (by radius_scan, or by
+    dfps for its picks) at a radius at least this one, replaces this
+    call's own scan; its hits within this radius are exactly the ones a
+    scan at this radius finds.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if k < 1:
         raise ValueError("k must be >= 1")
-    m = np.asarray(centers).reshape(-1, 3).shape[0]
+    m, n = np.asarray(centers).reshape(-1, 3).shape[0], cloud.n
     if scan is None:
         scan = radius_scan(cloud, centers, radius)
-    elif scan.centers != m or scan.radius < radius:
-        raise ValueError("scan must cover these centers at a radius of at least this one")
-    row, point = scan.row, scan.point
+    elif scan.centers != m or scan.points != n or scan.radius < radius:
+        raise ValueError("scan must cover these centers in this cloud at a radius of at least this one")
+    keys = scan.keys
     if scan.radius > radius:
-        inside = scan.d2 <= radius * radius
-        row, point = row[inside], point[inside]
+        keys = keys[scan.d2 <= radius * radius]
+    base = np.arange(m) * n
     if self_indices is None:
-        anchors = _coincident_anchors(scan)
+        # each center's anchor is its first point at exactly zero distance
+        zero = np.append(scan.keys[scan.d2 == 0.0], m * n)
+        anchors = zero[np.searchsorted(zero, base)] - base
+        missing = np.flatnonzero(anchors >= n)
+        if missing.size:
+            raise ValueError(f"center {missing[0]} does not coincide with any cloud point")
     else:
         anchors = np.asarray(self_indices, dtype=np.int64).reshape(-1)
         if anchors.shape[0] != m:
             raise ValueError("self_indices length must match center count")
-        if anchors.size and (anchors.min() < 0 or anchors.max() >= cloud.n):
+        if anchors.size and (anchors.min() < 0 or anchors.max() >= n):
             raise ValueError("self index out of range")
 
-    others = point != anchors[row]
-    point, row = point[others], row[others]
-    starts = np.searchsorted(row, np.arange(m + 1))
+    # row i's hits are keys[starts[i]:starts[i + 1]]; the anchor's own hit,
+    # when in radius, is keys[own[i]], and ranks at or past it skip it
+    starts = np.searchsorted(keys, np.append(base, m * n))
+    own = np.searchsorted(keys, base + anchors)
+    found = own < starts[1:]
+    found[found] = keys[own[found]] == (base + anchors)[found]
+    counts = np.diff(starts) - found
+
+    def others(rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        at = starts[rows] + ranks
+        return keys[at + (found[rows] & (at >= own[rows]))] - base[rows]
 
     indices = np.repeat(anchors[:, None], k, axis=1)
     valid = np.zeros((m, k), dtype=bool)
     valid[:, 0] = True
-    counts = np.diff(starts)
     full = counts > k - 1
-    short = ~full[row]
-    slot = np.arange(row.size) - starts[row] + 1
-    indices[row[short], slot[short]] = point[short]
-    valid[row[short], slot[short]] = True
+    short = np.flatnonzero(~full)
+    rows = np.repeat(short, counts[short])
+    ranks = np.arange(rows.size) - np.repeat(np.cumsum(counts[short]) - counts[short], counts[short])
+    indices[rows, ranks + 1] = others(rows, ranks)
+    valid[rows, ranks + 1] = True
     rows = np.flatnonzero(full)
     if rows.size:
         picked = _floyd_subsets(counts[rows], k - 1, np.random.default_rng(seed))
-        indices[rows, 1:] = point[starts[rows, None] + picked]
+        indices[rows, 1:] = others(rows[:, None], picked)
         valid[rows] = True
     return NeighborTable(indices=indices, valid=valid)
 

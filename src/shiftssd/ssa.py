@@ -315,15 +315,15 @@ def ssa_forward(
     This is the only place a layer's sampling decisions are made. With
     `frozen` the pass replays recorded decisions (cluster indices,
     neighbor tables, pairing) on possibly perturbed inputs; otherwise it
-    draws fresh seeded ones, every scale's table from one radius scan at
-    the largest radius, and returns them for later replay.
+    draws fresh seeded ones, every scale's table from the scan dfps takes
+    at the largest radius, and returns them for later replay.
     """
     positions = np.asarray(positions, dtype=np.float64)
     if frozen is None:
         cloud = G.PointCloud(positions=positions)
-        cluster_indices = G.dfps(cloud, m_out, seed=G.derive_seed(seed, 0))
+        radius = max(scale.radius for scale in config.scales)
+        cluster_indices, scan = G.dfps(cloud, m_out, seed=G.derive_seed(seed, 0), radius=radius)
         centers = positions[cluster_indices]
-        scan = G.radius_scan(cloud, centers, max(scale.radius for scale in config.scales))
         tables = [
             G.ball_query(
                 cloud, centers, scale.radius, scale.k, seed=G.derive_seed(seed, 1, si),

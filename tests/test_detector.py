@@ -97,6 +97,20 @@ class TestBox3D:
         with pytest.raises(ValueError, match="positive"):
             D.Box3D(center=[0, 0, 0], size=[0.0, 1, 1], yaw=0.0)
 
+    def test_footprint_cannot_go_stale(self):
+        center, size = np.array([1.0, 2.0, 0.5]), np.array([4.0, 2.0, 1.5])
+        box = D.Box3D(center=center, size=size, yaw=0.3)
+        assert box.footprint == D.box_corners(center, size, box.yaw)[0, :4, :2].tolist()
+        for field in (box.center, box.size):
+            with pytest.raises(ValueError, match="read-only"):
+                field[0] = 9.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            box.yaw = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            box.center = np.zeros(3)
+        center[0] = size[0] = 9.0  # the caller's arrays stay writable and are not the box's
+        assert box.center[0] == 1.0 and box.size[0] == 4.0
+
 
 class TestBackbone:
     def test_single_stage_full_count_is_permutation(self):
@@ -352,6 +366,17 @@ class TestRotatedIoU:
             assert iou_ab == pytest.approx(iou_ba, abs=1e-9)
             assert 0.0 <= iou_ab <= 1.0
 
+    def test_float_clip_equals_numpy_clip_oracle(self):
+        rng = np.random.default_rng(26)
+        touching = 0
+        for a, b in overlap_pairs(rng, 2500):
+            for x, y in ((a, b), (b, a)):
+                with np.errstate(all="ignore"):  # a zero denominator gives inf or nan on both
+                    got, expected = D.bev_intersection_area(x, y), numpy_clip_area(x, y)
+                assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+            touching += (a.yaw == b.yaw == 0.0) and got == 0.0
+        assert touching > 0  # boxes sharing only an edge have no overlap
+
     def test_monte_carlo_oracle(self):
         rng = np.random.default_rng(12)
         for trial in range(10):
@@ -372,6 +397,60 @@ class TestRotatedIoU:
         square = D.Box3D(center=[0, 0, 0], size=[2, 2, 1], yaw=0.0)
         square_turned = D.Box3D(center=[0, 0, 0], size=[2, 2, 1], yaw=np.pi / 2)
         assert D.bev_rotated_iou(square, square_turned) == pytest.approx(1.0, abs=1e-9)
+
+
+def numpy_clip_area(a, b):
+    """BEV overlap by the Sutherland-Hodgman clip on numpy vertices, both
+    footprints from one two-box box_corners call."""
+    subject, clip = D.box_corners([a.center, b.center], [a.size, b.size], [a.yaw, b.yaw])[:, :4, :2]
+    output = list(subject)
+    for i in range(4):
+        if not output:
+            break
+        p, q = clip[i], clip[(i + 1) % 4]
+        edge = q - p
+        inputs, output = output, []
+        prev = inputs[-1]
+        prev_in = edge[0] * (prev[1] - p[1]) - edge[1] * (prev[0] - p[0]) >= 0
+        for cur in inputs:
+            cur_in = edge[0] * (cur[1] - p[1]) - edge[1] * (cur[0] - p[0]) >= 0
+            if cur_in != prev_in:
+                d = cur - prev
+                t = (edge[0] * (p[1] - prev[1]) - edge[1] * (p[0] - prev[0])) / (edge[0] * d[1] - edge[1] * d[0])
+                output.append(prev + t * d)
+            if cur_in:
+                output.append(cur)
+            prev, prev_in = cur, cur_in
+    if len(output) < 3:
+        return 0.0
+    area = 0.0
+    for i in range(len(output)):
+        v, w = output[i], output[(i + 1) % len(output)]
+        area += v[0] * w[1] - w[0] * v[1]
+    return abs(area) / 2.0
+
+
+def overlap_pairs(rng, count):
+    """Random box pairs: identical, equal yaws, edges touching on a lattice,
+    near-coincident (where the clip meets zero denominators), general."""
+    for trial in range(count):
+        a = random_box(rng)
+        kind = trial % 5
+        if kind == 0:
+            b = D.Box3D(center=a.center, size=a.size, yaw=a.yaw)
+        elif kind == 1:
+            b = D.Box3D(center=a.center + rng.uniform(-1.5, 1.5, size=3), size=rng.uniform(0.5, 3.0, size=3),
+                        yaw=a.yaw + np.pi / 2 * int(rng.integers(4)))
+        elif kind == 2:
+            size = np.round(rng.uniform(1.0, 4.0, size=3))
+            a = D.Box3D(center=np.round(a.center), size=size, yaw=0.0)
+            b = D.Box3D(center=a.center + [size[0], float(rng.integers(-1, 2)), 0.0], size=size, yaw=0.0)
+        elif kind == 3:
+            eps = 10.0 ** -int(rng.integers(9, 18))
+            b = D.Box3D(center=a.center + rng.normal(size=3) * eps, size=a.size, yaw=a.yaw + rng.normal() * eps)
+        else:
+            b = random_box(rng)
+        yield a, b
 
 
 def nms_reference(dets, thr):
@@ -458,6 +537,24 @@ class TestNms:
         monkeypatch.setattr(D, "iou3d", lambda a, b: calls.append(1) or pair_iou(a, b))
         assert len(D.nms3d(dets, 0.99)) == 4
         assert len(calls) == 6  # every pair of kept boxes
+
+
+class TestPostprocess:
+    def test_sub_threshold_candidate_is_never_decoded(self):
+        # candidate 1 is background with a size residual whose exp overflows
+        config = tiny_config()
+        logits = np.array([[0.0, 5.0, 0.0], [5.0, 0.0, 0.0]])
+        reg = np.zeros((2, 6 + 2 * config.angle_bins))
+        reg[1, 3:6] = 800.0
+        raw = D.RawPrediction(
+            cls_logits=T.Tensor(logits), center=T.Tensor(reg[:, :3]), size=T.Tensor(reg[:, 3:6]),
+            bin_logits=T.Tensor(reg[:, 6:10]), bin_res=T.Tensor(reg[:, 10:]),
+        )
+        out = D.ForwardOutput(stages=[], offsets=T.Tensor(np.zeros((2, 3))),
+                              candidates=T.Tensor(np.zeros((2, 3))), raw=raw, decisions=None)
+        dets = D.postprocess(out, config)
+        assert [d.class_id for d in dets] == [1]
+        np.testing.assert_array_equal(dets[0].box.size, config.anchors[0])
 
 
 class TestDetect:

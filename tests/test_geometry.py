@@ -206,6 +206,37 @@ class TestRadiusScan:
                 np.testing.assert_array_equal(got, expected)
 
 
+def dfps_scan_cases():
+    rng = np.random.default_rng(23)
+    spread = rng.uniform(-8, 8, size=(2048, 3))
+    yield "blocks_with_a_partial_last", spread, 37, 2.0  # 16 rows per block at 2048 points
+    yield "one_center", spread, 1, 2.0
+    yield "every_point", spread[:300], 300, 4.0
+    repeated = np.round(rng.uniform(-2, 2, size=(400, 3)))  # 125 lattice sites, each repeated
+    yield "duplicated_points", repeated, 180, 1.0
+    yield "radius_catching_no_other_point", spread, 100, 1e-6
+
+
+class TestDfpsScan:
+    @pytest.mark.parametrize("case", list(dfps_scan_cases()), ids=lambda case: case[0])
+    def test_equals_radius_scan(self, case):
+        name, positions, m, radius = case
+        cloud = G.PointCloud(positions=positions)
+        selected, scan = G.dfps(cloud, m, seed=5, radius=radius)
+        np.testing.assert_array_equal(selected, G.dfps(cloud, m, seed=5))
+        expected = G.radius_scan(cloud, positions[selected], radius)
+        assert scan.keys.tobytes() == expected.keys.tobytes()
+        assert scan.d2.tobytes() == expected.d2.tobytes()
+        assert (scan.centers, scan.points, scan.radius) == (m, cloud.n, radius)
+        if name == "radius_catching_no_other_point":
+            np.testing.assert_array_equal(scan.point, selected)
+
+    def test_rejects_non_positive_radius(self):
+        cloud = G.PointCloud(positions=np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="radius"):
+            G.dfps(cloud, 2, seed=0, radius=0.0)
+
+
 class TestDeterminism:
     def test_ball_query_same_seed(self):
         rng = np.random.default_rng(15)
@@ -282,6 +313,38 @@ def reference_pairing(positions, table, mode, scores=None):
     return out
 
 
+def per_hit_ball_query(cloud, radius, k, seed, self_indices, scan):
+    """The per-hit ball query: each step is a pass over every (row, point) hit of `scan`."""
+    m = scan.centers
+    row, point = scan.row, scan.point
+    if scan.radius > radius:
+        inside = scan.d2 <= radius * radius
+        row, point = row[inside], point[inside]
+    if self_indices is None:
+        zero = np.flatnonzero(scan.d2 == 0.0)
+        anchors = scan.point[zero[np.searchsorted(scan.row[zero], np.arange(m))]]
+    else:
+        anchors = np.asarray(self_indices, dtype=np.int64)
+    others = point != anchors[row]
+    point, row = point[others], row[others]
+    starts = np.searchsorted(row, np.arange(m + 1))
+    indices = np.repeat(anchors[:, None], k, axis=1)
+    valid = np.zeros((m, k), dtype=bool)
+    valid[:, 0] = True
+    counts = np.diff(starts)
+    full = counts > k - 1
+    short = ~full[row]
+    slot = np.arange(row.size) - starts[row] + 1
+    indices[row[short], slot[short]] = point[short]
+    valid[row[short], slot[short]] = True
+    rows = np.flatnonzero(full)
+    if rows.size:
+        picked = G._floyd_subsets(counts[rows], k - 1, np.random.default_rng(seed))
+        indices[rows, 1:] = point[starts[rows, None] + picked]
+        valid[rows] = True
+    return indices, valid
+
+
 def oracle_cases(rng, sizes):
     """Clouds on a half-meter lattice, so distances tie, points repeat and
     some lie exactly on the radius; centers sit on cloud points or, for
@@ -343,6 +406,18 @@ class TestOracles:
                 on_radius[si] += int((scan.d2 == r * r).sum())
         assert min(on_radius.values()) > 0
 
+    def test_ball_query_matches_per_hit_oracle(self):
+        # scans at the query radius and at twice it, coincident and explicit
+        # anchors (some out of radius), on lattice clouds with repeated points
+        rng = np.random.default_rng(21)
+        for cloud, centers, anchors, radius, k, seed in oracle_cases(rng, self.SIZES):
+            for scan_radius in (radius, 2.0 * radius):
+                scan = G.radius_scan(cloud, centers, scan_radius)
+                got = G.ball_query(cloud, centers, radius, k, seed, self_indices=anchors, scan=scan)
+                indices, valid = per_hit_ball_query(cloud, radius, k, seed, anchors, scan)
+                assert got.indices.tobytes() == indices.tobytes()
+                assert got.valid.tobytes() == valid.tobytes()
+
     def test_scan_must_cover_the_query(self):
         cloud = G.PointCloud(positions=np.zeros((3, 3)))
         scan = G.radius_scan(cloud, cloud.positions, 1.0)
@@ -350,6 +425,14 @@ class TestOracles:
             G.ball_query(cloud, cloud.positions, 2.0, 2, 0, scan=scan)
         with pytest.raises(ValueError, match="scan"):
             G.ball_query(cloud, cloud.positions[:2], 0.5, 2, 0, scan=scan)
+
+    def test_scan_over_another_cloud_rejected(self):
+        # keys encode the cloud size, so a scan of another cloud would give wrong rows
+        cloud = G.PointCloud(positions=np.zeros((3, 3)))
+        other = G.PointCloud(positions=np.zeros((4, 3)))
+        scan = G.radius_scan(other, cloud.positions, 1.0)
+        with pytest.raises(ValueError, match="scan must cover these centers in this cloud"):
+            G.ball_query(cloud, cloud.positions, 1.0, 2, 0, scan=scan)
 
     def test_pairing_matches_reference_with_ties(self):
         rng = np.random.default_rng(18)
