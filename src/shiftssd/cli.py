@@ -98,7 +98,8 @@ def config_from_dict(cls, d, path: str | None = None):
 
 def _load_config_file(path: str | None) -> tuple[D.ModelConfig | None, DT.SynthConfig, H.TrainConfig]:
     """(model, synth, train) from a --config file. An absent model is None;
-    absent synth and train sections take the dataclass defaults."""
+    absent synth and train sections take the dataclass defaults. A
+    `train.seed` key is rejected: --seed sets the seed."""
     payload = {}
     if path:
         try:
@@ -113,7 +114,10 @@ def _load_config_file(path: str | None) -> tuple[D.ModelConfig | None, DT.SynthC
             raise ValueError(f"{unknown[0]}: unknown key")
         model = config_from_dict(D.ModelConfig, payload["model"], "model") if "model" in payload else None
         synth = config_from_dict(DT.SynthConfig, payload.get("synth", {}), "synth")
-        train = config_from_dict(H.TrainConfig, payload.get("train", {}), "train")
+        train = payload.get("train", {})
+        if isinstance(train, dict) and "seed" in train:
+            raise ValueError("train.seed: not a config key; the seed comes only from --seed")
+        train = config_from_dict(H.TrainConfig, train, "train")
     except ValueError as err:
         raise UsageError(f"config file {path}: {err}") from err
     return model, synth, train

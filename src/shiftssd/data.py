@@ -23,6 +23,7 @@ log = logging.getLogger("shiftssd")
 
 _RECORD_FLOATS = 3 + CLOUD_CHANNELS  # x, y, z, then the feature channels
 _RECORD_BYTES = 4 * _RECORD_FLOATS  # little-endian float32
+NOISE_HEIGHT = 2.0  # clutter points lie at heights in [0, NOISE_HEIGHT)
 
 
 @dataclass
@@ -49,7 +50,6 @@ class SynthConfig:
     objects_min: int = 2
     objects_max: int = 4
     point_jitter: float = 0.02  # uniform surface jitter bound, meters
-    noise_height: float = 2.0
     classes: list[ClassSpec] = field(
         default_factory=lambda: [
             ClassSpec("vehicle", (4.2, 1.9, 1.6), (0.3, 0.1, 0.1)),
@@ -58,9 +58,8 @@ class SynthConfig:
     )
 
     def __post_init__(self):
-        for name in ("extent", "noise_height"):
-            if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
-                raise ValueError(f"{name} must be finite and positive")
+        if not (np.isfinite(self.extent) and self.extent > 0):
+            raise ValueError("extent must be finite and positive")
         if not (np.isfinite(self.point_jitter) and self.point_jitter >= 0):
             raise ValueError("point_jitter must be finite and non-negative")
         if self.noise_points < 0:
@@ -163,7 +162,7 @@ def generate_scene(config: SynthConfig, seed: int) -> Scene:
         [
             rng.uniform(-half, half, size=n_noise),
             rng.uniform(-half, half, size=n_noise),
-            rng.uniform(0.0, config.noise_height, size=n_noise),
+            rng.uniform(0.0, NOISE_HEIGHT, size=n_noise),
         ]
     )
     points.append(noise)

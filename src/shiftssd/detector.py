@@ -468,7 +468,7 @@ def _clip_polygon(subject: list, clip: list) -> list:
                 dx, dy = cx - px, cy - py
                 denom = ex * dy - ey * dx
                 num = ex * (ay - py) - ey * (ax - px)
-                t = num / denom if denom else np.divide(num, denom)  # inf or nan, not an exception
+                t = num / denom if denom else 0.0  # a crossing by rounding alone: the previous vertex
                 output.append((px + t * dx, py + t * dy))
             if cur_in:
                 output.append(cur)

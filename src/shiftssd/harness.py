@@ -2,10 +2,11 @@
 measures each cluster's receptive radius, a forward-latency benchmark,
 and one-axis-at-a-time ablation sweeps.
 
-Training uses Adam under a one-cycle learning-rate schedule. The probe
-freezes every stochastic sampling decision and re-runs the forward pass
-with single input points displaced, so the measured influence reflects
-feature flow rather than sampling jitter.
+Training uses Adam under a one-cycle learning-rate schedule, both with
+the fixed constants below; a run sets only epochs, peak_lr and seed. The
+probe freezes every stochastic sampling decision and re-runs the forward
+pass with single input points displaced, so the measured influence
+reflects feature flow rather than sampling jitter.
 
 Every variant model here is a base config edited by
 `detector.with_stage_fields`: the probe's and the bench's plain variant
@@ -41,18 +42,20 @@ ABLATION_AXES = {
 }
 # a ground-truth box counts as recalled by a detection at this IoU3D or above
 RECALL_IOU = 0.5
+# Adam's constants, then the one-cycle schedule's: a linear warmup over WARMUP_FRAC of
+# the steps from peak_lr / DIV_FACTOR, then cosine annealing down to peak_lr / FINAL_DIV_FACTOR
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+WARMUP_FRAC = 0.3
+DIV_FACTOR = 25.0
+FINAL_DIV_FACTOR = 1e4
 
 
 @dataclass
 class TrainConfig:
     epochs: int = 300
     peak_lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    warmup_frac: float = 0.3
-    div_factor: float = 25.0
-    final_div_factor: float = 1e4
     seed: int = 0
 
     def __post_init__(self):
@@ -60,22 +63,13 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if not (np.isfinite(self.peak_lr) and self.peak_lr >= 0):
             raise ValueError("peak_lr must be finite and non-negative")
-        if not 0 < self.warmup_frac < 1:
-            raise ValueError("warmup_frac must lie in (0, 1)")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in [0, 1)")
-        for name in ("adam_eps", "div_factor", "final_div_factor"):
-            if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
-                raise ValueError(f"{name} must be finite and positive")
 
 
 class Adam:
     """Standard Adam with bias correction over a fixed tensor list."""
 
-    def __init__(self, tensors: list[T.Tensor], beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, tensors: list[T.Tensor]):
         self.tensors = tensors
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(t.values) for t in tensors]
         self.v = [np.zeros_like(t.values) for t in tensors]
         self.t = 0
@@ -85,16 +79,15 @@ class Adam:
 
     def step(self, lr: float):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
         for p, m, v in zip(self.tensors, self.m, self.v):
             g = p.grad
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1**self.t)
-            v_hat = v / (1 - b2**self.t)
-            p.values -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            m_hat = m / (1 - ADAM_BETA1**self.t)
+            v_hat = v / (1 - ADAM_BETA2**self.t)
+            p.values -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def one_cycle_lr(step: int, total_steps: int, config: TrainConfig) -> float:
@@ -103,12 +96,11 @@ def one_cycle_lr(step: int, total_steps: int, config: TrainConfig) -> float:
     if total_steps <= 1:
         return peak
     pct = step / (total_steps - 1)
-    start = peak / config.div_factor
-    floor = peak / config.final_div_factor
-    if pct <= config.warmup_frac:
-        t = pct / config.warmup_frac
-        return start + (peak - start) * t
-    t = (pct - config.warmup_frac) / (1.0 - config.warmup_frac)
+    start = peak / DIV_FACTOR
+    floor = peak / FINAL_DIV_FACTOR
+    if pct <= WARMUP_FRAC:
+        return start + (peak - start) * (pct / WARMUP_FRAC)
+    t = (pct - WARMUP_FRAC) / (1.0 - WARMUP_FRAC)
     return floor + (peak - floor) * 0.5 * (1.0 + np.cos(np.pi * t))
 
 
@@ -170,12 +162,7 @@ def train_toy(
         except ValueError as err:
             raise ValueError(f"scene {sid}: {err}") from err
     params = D.init_model_params(model_config, seed=train_config.seed)
-    opt = Adam(
-        params.tensors(),
-        beta1=train_config.beta1,
-        beta2=train_config.beta2,
-        eps=train_config.adam_eps,
-    )
+    opt = Adam(params.tensors())
     cacheable = all(cfg.selection != "feats_scale" for cfg in model_config.stage_ssa)
     decision_cache: dict[int, list[S.SsaDecisions]] = {}
 
@@ -360,7 +347,8 @@ def receptive_field_probe(
         out = stages[-1].aggregated.values
         return out.reshape(copies, -1, out.shape[1])
 
-    bases = [final_values(config, cloud.positions[None], decisions)[0] for config in variants]
+    # the fresh forward already holds the configured variant's unperturbed values
+    bases = [fresh[-1].aggregated.values, final_values(variants[1], cloud.positions[None], decisions)[0]]
     m = bases[0].shape[0]
     # moved[v, 3p + axis, i]: displacing point p along axis moves cluster i
     moved = np.zeros((2, 3 * n, m), dtype=bool)

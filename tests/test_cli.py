@@ -184,7 +184,6 @@ class TestUsage:
             (lambda c: c["train"].update(epoch=3), "train.epoch: unknown key"),
             (lambda c: c["synth"]["classes"][0].update(mean_size=[1.0, 2.0]), "synth.classes[0].mean_size"),
             (lambda c: c.update(trian={}), "trian: unknown key"),
-            (lambda c: c["train"].update(warmup_frac=0), "train: warmup_frac"),
             (lambda c: c["train"].update(peak_lr=float("nan")), "train: peak_lr"),
             (lambda c: c["model"].update(score_threshold=float("nan")), "model: score_threshold"),
             (lambda c: c["model"].update(agg_k=0), "model: agg_k"),
@@ -199,27 +198,30 @@ class TestUsage:
             (lambda c: c["model"]["stage_ssa"][0]["scales"][1].update(radius=1e308), "model.stage_ssa[0]: r_prime"),
             (lambda c: c["model"]["stage_ssa"][0].update(candidate_k=0), "model.stage_ssa[0]: candidate_k"),
             (lambda c: c["model"]["stage_ssa"][1].update(aggregation=[0]), "model.stage_ssa[1]: aggregation"),
-            (lambda c: c["train"].update(beta1=1.0), "train: beta1"),
-            (lambda c: c["train"].update(beta2=1.5), "train: beta2"),
-            (lambda c: c["train"].update(adam_eps=0), "train: adam_eps"),
-            (lambda c: c["train"].update(div_factor=0), "train: div_factor"),
-            (lambda c: c["train"].update(final_div_factor=-1), "train: final_div_factor"),
-            (lambda c: c["synth"].update(noise_height=float("inf")), "synth: noise_height"),
             (lambda c: c["synth"].update(point_jitter=-1), "synth: point_jitter"),
             (lambda c: c["synth"]["classes"][1].update(mean_size=[0.6, 0.0, 1.6]), "synth.classes[1]: mean_size"),
             (lambda c: c["synth"]["classes"][0].update(size_jitter=[0.2, 1.5, 0.1]), "synth.classes[0]: size_jitter"),
             (lambda c: c["model"].update(in_channels=1), "model.in_channels: unknown key"),
+            # the Adam, one-cycle and clutter-height constants are no config keys
+            (lambda c: c["train"].update(beta1=0.9), "train.beta1: unknown key"),
+            (lambda c: c["train"].update(beta2=0.999), "train.beta2: unknown key"),
+            (lambda c: c["train"].update(adam_eps=1e-8), "train.adam_eps: unknown key"),
+            (lambda c: c["train"].update(warmup_frac=0.3), "train.warmup_frac: unknown key"),
+            (lambda c: c["train"].update(div_factor=25.0), "train.div_factor: unknown key"),
+            (lambda c: c["train"].update(final_div_factor=1e4), "train.final_div_factor: unknown key"),
+            (lambda c: c["synth"].update(noise_height=2.0), "synth.noise_height: unknown key"),
             (lambda c: c["model"].update(assign_margin=float("nan")), "model: assign_margin"),
             (lambda c: c["model"]["anchors"][1].__setitem__(0, 0.0), "model: anchor sizes"),
             (lambda c: c["synth"].update(extent=2.5), "synth: extent 2.5 is below the largest class's BEV diagonal"),
         ],
         ids=[
             "rejected_value", "wrong_type", "empty_scales", "unknown_key", "tuple_length", "unknown_section",
-            "zero_warmup", "nan_lr", "nan_score_threshold", "agg_k_0", "agg_radius_negative", "agg_f_empty",
+            "nan_lr", "nan_score_threshold", "agg_k_0", "agg_radius_negative", "agg_f_empty",
             "agg_a_width_0", "scale_width_0", "stage_points_0", "scale_radius_nan", "r_prime_nan",
-            "derived_r_prime_overflow", "candidate_k_0", "aggregation_width_0", "beta1_1", "beta2_above_1", "adam_eps_0", "div_factor_0",
-            "final_div_factor_negative", "noise_height_inf", "point_jitter_negative", "mean_size_0",
-            "size_jitter_above_mean", "in_channels_unknown", "assign_margin_nan", "anchor_size_0",
+            "derived_r_prime_overflow", "candidate_k_0", "aggregation_width_0", "point_jitter_negative", "mean_size_0",
+            "size_jitter_above_mean", "in_channels_unknown", "beta1_unknown", "beta2_unknown", "adam_eps_unknown",
+            "warmup_frac_unknown", "div_factor_unknown", "final_div_factor_unknown", "noise_height_unknown",
+            "assign_margin_nan", "anchor_size_0",
             "extent_below_diagonal",
         ],
     )
@@ -234,6 +236,22 @@ class TestUsage:
         assert where in err
         assert "Traceback" not in err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("subcommand", ["train", "ablate"])
+    def test_seed_in_config_exits_1(self, tmp_path, trained_model, small_config_file, capsys, subcommand):
+        # --seed is the only seed; a config file's train.seed would be silently overridden
+        data_dir, _ = trained_model
+        config = json.loads(Path(small_config_file).read_text())
+        config["train"]["seed"] = 99
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        fresh = tmp_path / "fresh"
+        out = fresh / ("run" if subcommand == "train" else "ablate.csv")
+        capsys.readouterr()
+        assert run([subcommand, "--data", data_dir, "--out", out, "--seed", 3, "--config", bad, "--epochs", 1]) == 1
+        err = capsys.readouterr().err
+        assert "train.seed" in err and "--seed" in err and "Traceback" not in err
+        assert not fresh.exists()  # neither an output nor a manifest
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -703,7 +721,6 @@ def synth_configs(draw):
         objects_min=objects_min,
         objects_max=objects_max,
         point_jitter=draw(st.floats(0.0, 1.0, **_finite)),
-        noise_height=draw(st.floats(0.1, 10.0, **_finite)),
         classes=classes,
     )
 
@@ -712,12 +729,6 @@ train_configs = st.builds(
     H.TrainConfig,
     epochs=st.integers(1, 1000),
     peak_lr=st.floats(0.0, 1.0, **_finite),
-    beta1=st.floats(0.0, 1.0, exclude_max=True, **_finite),
-    beta2=st.floats(0.0, 1.0, exclude_max=True, **_finite),
-    adam_eps=st.floats(1e-12, 1e-3, **_finite),
-    warmup_frac=st.floats(0.01, 0.99, **_finite),
-    div_factor=st.floats(1.0, 1e3, **_finite),
-    final_div_factor=st.floats(1.0, 1e6, **_finite),
     seed=st.integers(0, 2**32),
 )
 

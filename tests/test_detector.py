@@ -371,11 +371,28 @@ class TestRotatedIoU:
         touching = 0
         for a, b in overlap_pairs(rng, 2500):
             for x, y in ((a, b), (b, a)):
-                with np.errstate(all="ignore"):  # a zero denominator gives inf or nan on both
-                    got, expected = D.bev_intersection_area(x, y), numpy_clip_area(x, y)
+                got, expected = D.bev_intersection_area(x, y), numpy_clip_area(x, y)
                 assert np.float64(got).tobytes() == np.float64(expected).tobytes()
             touching += (a.yaw == b.yaw == 0.0) and got == 0.0
         assert touching > 0  # boxes sharing only an edge have no overlap
+
+    def test_near_coincident_boxes_give_finite_symmetric_iou(self):
+        # a crossing found by rounding alone has a zero denominator; it must not turn into nan
+        center = np.array([2.06274337421236, -0.45536108733592284, 2.878132251057939])
+        size = [3.903742297953714, 2.1636048230421423, 3.087752192760449]
+        a = D.Box3D(center=center, size=size, yaw=-2.972483965794283)
+        b = D.Box3D(center=[center[0], np.nextafter(center[1], -np.inf), center[2]], size=size, yaw=a.yaw)
+        for iou in (D.iou3d, D.bev_rotated_iou):
+            ab, ba = iou(a, b), iou(b, a)
+            assert np.isfinite([ab, ba]).all() and abs(ab - ba) < 1e-12
+            assert ab == pytest.approx(1.0, abs=1e-6)
+        rng = np.random.default_rng(27)
+        for _ in range(4000):
+            a = random_box(rng)
+            eps = 10.0 ** -rng.uniform(9, 17)
+            b = D.Box3D(center=a.center + rng.normal(size=3) * eps, size=a.size, yaw=a.yaw + rng.normal() * eps)
+            assert D.iou3d(a, b) == pytest.approx(1.0, abs=1e-6)
+            assert D.iou3d(b, a) == pytest.approx(1.0, abs=1e-6)
 
     def test_monte_carlo_oracle(self):
         rng = np.random.default_rng(12)
@@ -416,7 +433,8 @@ def numpy_clip_area(a, b):
             cur_in = edge[0] * (cur[1] - p[1]) - edge[1] * (cur[0] - p[0]) >= 0
             if cur_in != prev_in:
                 d = cur - prev
-                t = (edge[0] * (p[1] - prev[1]) - edge[1] * (p[0] - prev[0])) / (edge[0] * d[1] - edge[1] * d[0])
+                denom = edge[0] * d[1] - edge[1] * d[0]
+                t = (edge[0] * (p[1] - prev[1]) - edge[1] * (p[0] - prev[0])) / denom if denom else 0.0
                 output.append(prev + t * d)
             if cur_in:
                 output.append(cur)
