@@ -2,12 +2,12 @@
 
 Subcommands: `gen` (synthetic dataset), `train`, `detect`, `probe`,
 `bench`, `ablate`, and `gradcheck`. Every run requires --seed, resolves
-its configuration as flags over config file over built-in defaults, each
-validated by its config dataclass, and writes a JSON manifest recording
-the resolved configuration, seed, git revision, machine facts (core
-count, Python and numpy versions), output paths, and wall time. Exit
-codes: 0 success, 1 usage error, 2 runtime failure. The SHIFTSSD_LOG
-environment variable (error / info / debug) controls stderr verbosity.
+its configuration as flags (only --epochs, --lr and --score-threshold)
+over config file or checkpoint over built-in defaults, each validated by
+its config dataclass, and writes a JSON manifest recording the resolved
+configuration, seed, git revision, machine facts (core count, Python and
+numpy versions), output paths, and wall time. Exit codes: 0 success, 1
+usage error, 2 runtime failure. The SHIFTSSD_LOG environment variable (error / info / debug) controls stderr verbosity.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from . import data as DT
 from . import detector as D
 from . import geometry as G
 from . import harness as H
+from . import losses as L
 from . import ssa as S
 from . import tensor as T
 
@@ -258,10 +259,6 @@ def _run_with_manifest(args, resolved, body, manifest_path=None):
 
 def cmd_gen(args) -> int:
     _, synth, _ = _load_config_file(args.config)
-    synth = _override(synth, args, {
-        "points": "points_per_scene", "noise": "noise_points", "extent": "extent",
-        "objects_min": "objects_min", "objects_max": "objects_max",
-    })
     out_dir = Path(args.out)
     resolved = {"synth": dataclasses.asdict(synth), "scenes": args.scenes}
 
@@ -308,27 +305,35 @@ def cmd_train(args) -> int:
     return 0
 
 
+# model_config keys that older checkpoints record, each with the one value the code now fixes
+RETIRED_MODEL_KEYS = {"in_channels": D.CLOUD_CHANNELS, "assign_margin": L.ASSIGN_MARGIN}
+
+
 def _load_model(path) -> tuple[D.ModelConfig, D.ModelParams]:
-    """The model a checkpoint records. Checkpoints written while the model
-    config still named its input width record "in_channels": 1, the width
-    the cloud format fixes; that key is dropped, and any other value stays
-    an unknown key."""
+    """The model a checkpoint records. A retired key holding its fixed
+    value (of the same JSON type) is dropped; any other value stays an
+    unknown key. A config or tensor the model rejects names the file."""
     arrays, meta = T.load_checkpoint(path)
     if "model_config" not in meta:
         raise ValueError(f"checkpoint {path} carries no model config")
     recorded = meta["model_config"]
-    width = recorded.get("in_channels") if isinstance(recorded, dict) else None
-    if type(width) is int and width == D.CLOUD_CHANNELS:
-        recorded = {k: v for k, v in recorded.items() if k != "in_channels"}
-    config = config_from_dict(D.ModelConfig, recorded, "model_config")
-    params = D.init_model_params(config, seed=0)
-    T.load_into(params.named(), arrays)
+    if isinstance(recorded, dict):
+        recorded = {
+            k: v for k, v in recorded.items()
+            if not (k in RETIRED_MODEL_KEYS and type(v) is type(RETIRED_MODEL_KEYS[k]) and v == RETIRED_MODEL_KEYS[k])
+        }
+    try:
+        config = config_from_dict(D.ModelConfig, recorded, "model_config")
+        params = D.init_model_params(config, seed=0)
+        T.load_into(params.named(), arrays)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
     return config, params
 
 
 def cmd_detect(args) -> int:
     config, params = _load_model(args.model)
-    config = _override(config, args, {"score_threshold": "score_threshold", "nms_iou": "nms_iou"})
+    config = _override(config, args, {"score_threshold": "score_threshold"})
     cloud = DT.read_cloud(args.input)
     out_path = Path(args.out)
     resolved = {"model": dataclasses.asdict(config)}
@@ -349,18 +354,13 @@ def cmd_probe(args) -> int:
     if args.scenes is not None:
         scenes = scenes[: args.scenes]
     out_path = Path(args.out)
-    resolved = {
-        "model": dataclasses.asdict(config),
-        "eps": args.eps,
-        "tol": args.tol,
-        "scenes": len(scenes),
-    }
+    resolved = {"model": dataclasses.asdict(config), "scenes": len(scenes)}
 
     def body(writer):
         rows = []
         for idx, (scene, sid) in enumerate(scenes):
             report = H.receptive_field_probe(
-                config, params, scene.cloud, eps=args.eps, tol=args.tol,
+                config, params, scene.cloud, eps=H.PROBE_EPS, tol=H.PROBE_TOL,
                 seed=H.scene_seed(args.seed, idx),
             )
             violations = report.plain_containment_violations(scene.cloud.positions)
@@ -440,16 +440,15 @@ def cmd_ablate(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     def body(writer):
-        errors = H.gradcheck_suite(args.seed, eps=args.eps)
+        errors = H.gradcheck_suite(args.seed)
         for name, err in errors.items():
             print(f"{name}: {err:.3e}")
         worst = max(errors.values())
-        print(f"worst relative error: {worst:.3e} (tolerance {args.tol:.1e})")
+        print(f"worst relative error: {worst:.3e} (tolerance {H.GRADCHECK_TOL:.1e})")
         return worst
 
-    resolved = {"eps": args.eps, "tol": args.tol}
-    worst = _run_with_manifest(args, resolved, body, Path(args.manifest or "gradcheck.manifest.json"))
-    if worst >= args.tol:
+    worst = _run_with_manifest(args, {}, body, Path(args.manifest or "gradcheck.manifest.json"))
+    if worst >= H.GRADCHECK_TOL:
         print("gradcheck FAILED", file=sys.stderr)
         return 2
     return 0
@@ -472,19 +471,6 @@ def _int_at_least(low: int):
     return parse
 
 
-def _finite_float(positive: bool):
-    """An argparse type for a finite float that is > 0 if `positive`, else >= 0."""
-
-    def parse(text: str) -> float:
-        value = float(text)
-        if not np.isfinite(value) or value < 0 or (positive and value == 0):
-            raise argparse.ArgumentTypeError(f"must be finite and {'>' if positive else '>='} 0, got {text}")
-        return value
-
-    parse.__name__ = "float"
-    return parse
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="shiftssd", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -498,11 +484,6 @@ def build_parser() -> _Parser:
     add_common(p, config=True)
     p.add_argument("--scenes", type=_int_at_least(1), required=True)
     p.add_argument("--out", type=str, required=True)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--noise", type=int, default=None)
-    p.add_argument("--extent", type=float, default=None)
-    p.add_argument("--objects-min", dest="objects_min", type=int, default=None)
-    p.add_argument("--objects-max", dest="objects_max", type=int, default=None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="overfit the toy detector on a dataset")
@@ -519,7 +500,6 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="input", type=str, required=True)
     p.add_argument("--out", type=str, required=True)
     p.add_argument("--score-threshold", dest="score_threshold", type=float, default=None)
-    p.add_argument("--nms-iou", dest="nms_iou", type=float, default=None)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("probe", help="measure receptive radii by perturbation")
@@ -527,8 +507,6 @@ def build_parser() -> _Parser:
     p.add_argument("--model", type=str, required=True)
     p.add_argument("--data", type=str, required=True)
     p.add_argument("--out", type=str, required=True)
-    p.add_argument("--eps", type=_finite_float(positive=False), default=1e-3)
-    p.add_argument("--tol", type=_finite_float(positive=False), default=1e-9)
     p.add_argument("--scenes", type=_int_at_least(1), default=None)
     p.set_defaults(func=cmd_probe)
 
@@ -549,8 +527,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference verification suite")
     add_common(p)
-    p.add_argument("--eps", type=_finite_float(positive=True), default=1e-5)
-    p.add_argument("--tol", type=_finite_float(positive=True), default=1e-4)
     p.add_argument("--manifest", type=str, default=None)
     p.set_defaults(func=cmd_gradcheck)
 

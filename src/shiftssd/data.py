@@ -24,6 +24,7 @@ log = logging.getLogger("shiftssd")
 _RECORD_FLOATS = 3 + CLOUD_CHANNELS  # x, y, z, then the feature channels
 _RECORD_BYTES = 4 * _RECORD_FLOATS  # little-endian float32
 NOISE_HEIGHT = 2.0  # clutter points lie at heights in [0, NOISE_HEIGHT)
+POINT_JITTER = 0.02  # uniform surface jitter bound, meters
 
 
 @dataclass
@@ -49,7 +50,6 @@ class SynthConfig:
     noise_points: int = 384
     objects_min: int = 2
     objects_max: int = 4
-    point_jitter: float = 0.02  # uniform surface jitter bound, meters
     classes: list[ClassSpec] = field(
         default_factory=lambda: [
             ClassSpec("vehicle", (4.2, 1.9, 1.6), (0.3, 0.1, 0.1)),
@@ -60,8 +60,6 @@ class SynthConfig:
     def __post_init__(self):
         if not (np.isfinite(self.extent) and self.extent > 0):
             raise ValueError("extent must be finite and positive")
-        if not (np.isfinite(self.point_jitter) and self.point_jitter >= 0):
-            raise ValueError("point_jitter must be finite and non-negative")
         if self.noise_points < 0:
             raise ValueError("noise_points must be >= 0")
         if not self.classes:
@@ -96,10 +94,11 @@ def _boxes_disjoint(a: Box3D, b: Box3D) -> bool:
 _SHELL_INSET = 0.06  # sampled shell sits this far inside the labeled box
 
 
-def _sample_surface_points(box: Box3D, count: int, jitter: float, rng: np.random.Generator) -> np.ndarray:
+def _sample_surface_points(box: Box3D, count: int, rng: np.random.Generator) -> np.ndarray:
     """Area-weighted samples on the six faces of a slightly shrunk shell,
-    jittered within +-jitter, so object points stay strictly inside the
-    labeled box whenever jitter < the shell inset."""
+    jittered within +-POINT_JITTER. The shell sits min(_SHELL_INSET, size / 4)
+    inside each face, more than the jitter on every axis longer than
+    4 * POINT_JITTER, so object points stay strictly inside such a labeled box."""
     l, w, h = np.maximum(box.size - 2.0 * _SHELL_INSET, 0.5 * box.size)
     areas = np.array([w * h, w * h, l * h, l * h, l * w, l * w])
     faces = rng.choice(6, size=count, p=areas / areas.sum())
@@ -113,8 +112,7 @@ def _sample_surface_points(box: Box3D, count: int, jitter: float, rng: np.random
     y = np.where(axis == 0, u, np.where(axis == 1, side, v))
     z = np.where(axis == 2, side, v)
     local = np.column_stack([x, y, z]) * np.array([l, w, h])
-    if jitter > 0:
-        local += rng.uniform(-jitter, jitter, size=local.shape)
+    local += rng.uniform(-POINT_JITTER, POINT_JITTER, size=local.shape)
     c, s = math.cos(box.yaw), math.sin(box.yaw)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     return local @ rot.T + box.center
@@ -156,7 +154,7 @@ def generate_scene(config: SynthConfig, seed: int) -> Scene:
         (config.points_per_scene - config.noise_points) // n_objects if n_objects else 0
     )
     for box, _ in objects:
-        points.append(_sample_surface_points(box, per_object, config.point_jitter, rng))
+        points.append(_sample_surface_points(box, per_object, rng))
     n_noise = config.points_per_scene - per_object * n_objects
     noise = np.column_stack(
         [
@@ -208,6 +206,20 @@ def _class_id(value) -> int:
     return value
 
 
+def _number(value, key: str) -> float:
+    """A JSON number (not a string or a boolean) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _vector(value, key: str) -> list[float]:
+    """A JSON list of three numbers as floats."""
+    if not isinstance(value, list) or len(value) != 3:
+        raise ValueError(f"{key} must be a list of 3 numbers, got {value!r}")
+    return [_number(v, key) for v in value]
+
+
 def write_labels(path, objects: list[tuple[Box3D, int]]) -> None:
     payload = [
         {
@@ -231,17 +243,13 @@ def read_labels(path) -> list[tuple[Box3D, int]]:
     out = []
     for i, entry in enumerate(payload):
         try:
-            size = np.asarray(entry["size"], dtype=np.float64)
-            if (size <= 0).any():
-                raise ValueError("non-positive size")
-            yaw = float(entry["yaw"])
-            wrapped = normalize_yaw(yaw)
-            box = Box3D(center=entry["center"], size=size, yaw=wrapped)
+            yaw = _number(entry["yaw"], "yaw")
+            box = Box3D(_vector(entry["center"], "center"), _vector(entry["size"], "size"), normalize_yaw(yaw))
             cls = _class_id(entry["class_id"])
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ValueError(f"{path}: label {i} malformed: {err}") from err
-        if wrapped != yaw:
-            log.warning("%s: label %d yaw %.6f normalized to %.6f", path, i, yaw, wrapped)
+        if not -math.pi <= yaw < math.pi:
+            log.warning("%s: label %d yaw %.6f outside [-pi, pi), normalized to %.6f", path, i, yaw, box.yaw)
         out.append((box, cls))
     return out
 
@@ -276,11 +284,13 @@ def read_detections(path) -> list[tuple[str, Detection]]:
         try:
             entry = json.loads(line)
             det = Detection(
-                box=Box3D(center=entry["center"], size=entry["size"], yaw=entry["yaw"]),
+                box=Box3D(_vector(entry["center"], "center"), _vector(entry["size"], "size"), _number(entry["yaw"], "yaw")),
                 class_id=_class_id(entry["class_id"]),
-                score=float(entry["score"]),
+                score=_number(entry["score"], "score"),
             )
-            scene_id = str(entry["scene_id"])
+            scene_id = entry["scene_id"]
+            if not isinstance(scene_id, str):
+                raise ValueError(f"scene_id must be a string, got {scene_id!r}")
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ValueError(f"{path}: bad detection on line {line_no + 1}: {err}") from err
         out.append((scene_id, det))

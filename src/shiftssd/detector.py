@@ -42,7 +42,7 @@ class Box3D:
         if not (np.isfinite(center).all() and np.isfinite(size).all() and np.isfinite(self.yaw)):
             raise ValueError("non-finite box")
         if (size <= 0).any():
-            raise ValueError("box dimensions must be positive")
+            raise ValueError("non-positive size")
         center.flags.writeable = size.flags.writeable = False
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "size", size)
@@ -85,7 +85,6 @@ class ModelConfig:
     angle_bins: int = 12
     nms_iou: float = 0.25
     score_threshold: float = 0.3
-    assign_margin: float = 0.9  # meters added to box sizes for target assignment
 
     def __post_init__(self):
         if len(self.stage_points) != len(self.stage_ssa):
@@ -110,8 +109,6 @@ class ModelConfig:
         anchors = np.asarray(self.anchors, dtype=np.float64)
         if not (np.isfinite(anchors).all() and (anchors > 0).all()):
             raise ValueError("anchor sizes must be finite and positive on each axis")
-        if not (np.isfinite(self.assign_margin) and self.assign_margin >= 0):
-            raise ValueError("assign_margin must be finite and non-negative")
         if not (np.isfinite(self.score_threshold) and np.isfinite(self.nms_iou)):
             raise ValueError("score_threshold and nms_iou must be finite")
 

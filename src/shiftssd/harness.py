@@ -50,6 +50,10 @@ ADAM_EPS = 1e-8
 WARMUP_FRAC = 0.3
 DIV_FACTOR = 25.0
 FINAL_DIV_FACTOR = 1e4
+PROBE_EPS = 1e-3  # the probe's displacement of each input point, meters
+PROBE_TOL = 1e-9  # an output change above this counts as influence
+GRADCHECK_EPS = 1e-5  # gradcheck's central-difference step
+GRADCHECK_TOL = 1e-4  # gradcheck passes when its worst relative error is below this
 
 
 @dataclass
@@ -146,10 +150,10 @@ def train_toy(
 ) -> TrainResult:
     """Overfit the toy detector on a handful of scenes, one scene per step.
 
-    Backbone sampling decisions are cached per scene when the pairing
-    strategy depends only on geometry, since fixed positions plus a
-    fixed seed reproduce them identically every epoch. Aggregation
-    around the moving vote candidates is re-sampled every step. A
+    Backbone sampling decisions are cached per scene when no stage ranks
+    partners by learned features (`ssa.FEATURE_SELECTIONS`), since fixed
+    positions plus a fixed seed reproduce them identically every epoch.
+    Aggregation around the moving vote candidates is re-sampled every step. A
     failed step, such as one with a non-finite loss, raises TrainingAborted.
     A label whose class_id exceeds model_config.num_classes is a ValueError
     naming its scene, raised before any step.
@@ -163,7 +167,7 @@ def train_toy(
             raise ValueError(f"scene {sid}: {err}") from err
     params = D.init_model_params(model_config, seed=train_config.seed)
     opt = Adam(params.tensors())
-    cacheable = all(cfg.selection != "feats_scale" for cfg in model_config.stage_ssa)
+    cacheable = all(cfg.selection not in S.FEATURE_SELECTIONS for cfg in model_config.stage_ssa)
     decision_cache: dict[int, list[S.SsaDecisions]] = {}
 
     total_steps = train_config.epochs * len(scenes)
@@ -578,8 +582,8 @@ def gradcheck_config() -> tuple[D.ModelConfig, DT.SynthConfig]:
     return model, synth
 
 
-def gradcheck_suite(seed: int, eps: float = 1e-5) -> dict[str, float]:
-    """Worst relative finite-difference error per pipeline slice.
+def gradcheck_suite(seed: int) -> dict[str, float]:
+    """Worst relative finite-difference error per pipeline slice, at step GRADCHECK_EPS.
 
     The detector entry freezes all sampling decisions and requires at
     least one positive candidate so every loss term is exercised.
@@ -590,21 +594,21 @@ def gradcheck_suite(seed: int, eps: float = 1e-5) -> dict[str, float]:
     p = T.init_linear(3, 2, rng)
     x = T.Tensor(rng.normal(size=(4, 3)))
     errors["linear"] = T.grad_check(
-        lambda: T.mean_all(T.mul(T.linear(x, p), T.linear(x, p))), p.tensors() + [x], eps=eps
+        lambda: T.mean_all(T.mul(T.linear(x, p), T.linear(x, p))), p.tensors() + [x], eps=GRADCHECK_EPS
     )
 
     mlp = T.init_mlp([3, 6, 4], rng, final_relu=False)
     errors["mlp"] = T.grad_check(
         lambda: T.mean_all(T.mul(T.mlp_forward(x, mlp), T.mlp_forward(x, mlp))),
         mlp.tensors(),
-        eps=eps,
+        eps=GRADCHECK_EPS,
     )
 
     vals = T.Tensor(rng.normal(size=(8, 3)))
     valid = np.ones((2, 4), dtype=bool)
     valid[:, 3] = False
     errors["reduce_max"] = T.grad_check(
-        lambda: T.sum_all(T.reduce_max(vals, 4, valid)), [vals], eps=eps
+        lambda: T.sum_all(T.reduce_max(vals, 4, valid)), [vals], eps=GRADCHECK_EPS
     )
 
     ssa_cfg = S.SsaConfig(
@@ -624,12 +628,12 @@ def gradcheck_suite(seed: int, eps: float = 1e-5) -> dict[str, float]:
         )
         return T.mean_all(T.mul(out.aggregated, probe))
 
-    errors["ssa"] = T.grad_check(ssa_loss, ssa_params.tensors() + [feats], eps=eps)
-    errors["detector"] = gradcheck_detector(seed, eps=eps)
+    errors["ssa"] = T.grad_check(ssa_loss, ssa_params.tensors() + [feats], eps=GRADCHECK_EPS)
+    errors["detector"] = gradcheck_detector(seed)
     return errors
 
 
-def gradcheck_detector(seed: int, eps: float = 1e-5) -> float:
+def gradcheck_detector(seed: int, eps: float = GRADCHECK_EPS) -> float:
     """End-to-end check: two-stage backbone, vote, heads, and the full loss."""
     model, synth = gradcheck_config()
     for offset in range(16):

@@ -17,6 +17,8 @@ from . import tensor as T
 from .detector import CORNER_SIGNS, FLIPPED_CORNERS, box_corners
 from .detector import Box3D, ForwardOutput, ModelConfig, RawPrediction, bin_center, encode_angle
 
+ASSIGN_MARGIN = 0.9  # meters added to each box dimension when training assigns targets
+
 
 @dataclass
 class LossBreakdown:
@@ -251,7 +253,7 @@ def compute_loss(
 ) -> tuple[LossBreakdown, T.Tensor, TargetSet]:
     """Assemble the full objective for one scene's forward pass; targets
     are assigned at the last stage's cluster positions."""
-    targets = assign_targets(out.stages[-1].positions, objects, margin=config.assign_margin)
+    targets = assign_targets(out.stages[-1].positions, objects, margin=ASSIGN_MARGIN)
     off = offset_loss(out.offsets, targets)
     cls = cls_loss(out.raw.cls_logits, targets.class_ids)
     loc, size, angle, corner = box_loss(out.raw, out.candidates, targets, config)

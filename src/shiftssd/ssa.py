@@ -23,6 +23,8 @@ from . import tensor as T
 
 EXCHANGE_OPS = ("none", "concat", "avg", "attn", "cs")
 SELECTION_STRATEGIES = ("farthest", "nearest", "feats_scale", "points_num")
+# the strategies that rank partners by learned features, so their pairing changes as the weights train
+FEATURE_SELECTIONS = ("feats_scale",)
 
 
 @dataclass

@@ -652,6 +652,11 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
 
 
 def load_into(named_tensors: Sequence[tuple[str, Tensor]], arrays: dict[str, np.ndarray]) -> None:
+    """Copy each array into the tensor of its name: both must hold the same names and shapes."""
+    names = dict(named_tensors)
+    extra = next((name for name in arrays if name not in names), None)
+    if extra is not None:
+        raise ValueError(f"checkpoint tensor {extra} is not in the model")
     for name, t in named_tensors:
         if name not in arrays:
             raise ValueError(f"checkpoint missing tensor {name}")

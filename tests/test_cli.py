@@ -1,9 +1,11 @@
+import argparse
 import csv
 import dataclasses
 import json
 import math
 import os
 import platform
+import re
 import subprocess
 from pathlib import Path
 
@@ -105,6 +107,18 @@ class TestUsage:
     def test_unknown_subcommand_exits_1(self):
         assert run(["frobnicate", "--seed", 1]) == 1
 
+    def test_flags_match_readme(self):
+        # each subcommand takes exactly the flags of its row in the README's flag table
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| subcommand | flags |\n", 1)[1].split("\n\n", 1)[0].splitlines()[1:]
+        documented = {names[0]: set(names[1:]) for names in (re.findall(r"`([^`]+)`", row) for row in table)}
+        (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        taken = {
+            name: {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"}
+            for name, parser in subparsers.choices.items()
+        }
+        assert taken == documented
+
     def test_runtime_failure_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "nope"
         code = run(["train", "--data", missing, "--out", tmp_path / "o", "--seed", 1])
@@ -198,11 +212,11 @@ class TestUsage:
             (lambda c: c["model"]["stage_ssa"][0]["scales"][1].update(radius=1e308), "model.stage_ssa[0]: r_prime"),
             (lambda c: c["model"]["stage_ssa"][0].update(candidate_k=0), "model.stage_ssa[0]: candidate_k"),
             (lambda c: c["model"]["stage_ssa"][1].update(aggregation=[0]), "model.stage_ssa[1]: aggregation"),
-            (lambda c: c["synth"].update(point_jitter=-1), "synth: point_jitter"),
+            (lambda c: c["synth"].update(point_jitter=-1), "synth.point_jitter: unknown key"),
             (lambda c: c["synth"]["classes"][1].update(mean_size=[0.6, 0.0, 1.6]), "synth.classes[1]: mean_size"),
             (lambda c: c["synth"]["classes"][0].update(size_jitter=[0.2, 1.5, 0.1]), "synth.classes[0]: size_jitter"),
             (lambda c: c["model"].update(in_channels=1), "model.in_channels: unknown key"),
-            # the Adam, one-cycle and clutter-height constants are no config keys
+            # the Adam, one-cycle, clutter-height, jitter and assignment-margin constants are no config keys
             (lambda c: c["train"].update(beta1=0.9), "train.beta1: unknown key"),
             (lambda c: c["train"].update(beta2=0.999), "train.beta2: unknown key"),
             (lambda c: c["train"].update(adam_eps=1e-8), "train.adam_eps: unknown key"),
@@ -210,9 +224,12 @@ class TestUsage:
             (lambda c: c["train"].update(div_factor=25.0), "train.div_factor: unknown key"),
             (lambda c: c["train"].update(final_div_factor=1e4), "train.final_div_factor: unknown key"),
             (lambda c: c["synth"].update(noise_height=2.0), "synth.noise_height: unknown key"),
-            (lambda c: c["model"].update(assign_margin=float("nan")), "model: assign_margin"),
+            (lambda c: c["model"].update(assign_margin=float("nan")), "model.assign_margin: unknown key"),
             (lambda c: c["model"]["anchors"][1].__setitem__(0, 0.0), "model: anchor sizes"),
             (lambda c: c["synth"].update(extent=2.5), "synth: extent 2.5 is below the largest class's BEV diagonal"),
+            (lambda c: c["synth"].update(extent=float("nan")), "synth: extent must be finite and positive"),
+            (lambda c: c["synth"].update(points_per_scene=10), "synth: config cannot guarantee 8 surface points"),
+            (lambda c: c["synth"].update(noise_points=-50), "synth: noise_points must be >= 0"),
         ],
         ids=[
             "rejected_value", "wrong_type", "empty_scales", "unknown_key", "tuple_length", "unknown_section",
@@ -222,7 +239,7 @@ class TestUsage:
             "size_jitter_above_mean", "in_channels_unknown", "beta1_unknown", "beta2_unknown", "adam_eps_unknown",
             "warmup_frac_unknown", "div_factor_unknown", "final_div_factor_unknown", "noise_height_unknown",
             "assign_margin_nan", "anchor_size_0",
-            "extent_below_diagonal",
+            "extent_below_diagonal", "extent_nan", "points_per_scene_10", "noise_points_negative",
         ],
     )
     def test_malformed_config_exits_1(self, tmp_path, small_config_file, capsys, edit, where):
@@ -260,23 +277,28 @@ class TestUsage:
             (["train", "--data", "{data}", "--lr", -0.5], "--lr"),
             (["train", "--data", "{data}", "--lr", "nan"], "--lr"),
             (["ablate", "--data", "{data}", "--epochs", 0], "--epochs"),
-            (["gen", "--scenes", 1, "--points", 10], "--points"),
             (["gen", "--scenes", 0], "--scenes"),
             (["probe", "--model", "{ckpt}", "--data", "{data}", "--scenes", -1], "--scenes"),
             (["detect", "--model", "{ckpt}", "--in", "{scene}", "--score-threshold", "nan"], "--score-threshold"),
-            (["gradcheck", "--tol", "nan"], "--tol"),
-            (["gradcheck", "--eps", 0], "--eps"),
-            (["probe", "--model", "{ckpt}", "--data", "{data}", "--tol", "nan"], "--tol"),
-            (["probe", "--model", "{ckpt}", "--data", "{data}", "--eps", "inf"], "--eps"),
             (["bench", "--data", "{data}", "--reps", 5], "--reps"),
-            (["gen", "--scenes", 1, "--extent", "nan"], "--extent"),
-            (["gen", "--scenes", 1, "--noise", -50], "--noise"),
-            (["gen", "--scenes", 1, "--extent", 4.5], "--extent"),
+            # retired flags: their settings are constants or --config keys, and any value is refused
+            (["gen", "--scenes", 1, "--points", 10], "unrecognized arguments: --points"),
+            (["gen", "--scenes", 1, "--extent", "nan"], "unrecognized arguments: --extent"),
+            (["gen", "--scenes", 1, "--noise", -50], "unrecognized arguments: --noise"),
+            (["gen", "--scenes", 1, "--extent", 4.5], "unrecognized arguments: --extent"),
+            (["gen", "--scenes", 1, "--objects-min", 1], "unrecognized arguments: --objects-min"),
+            (["gen", "--scenes", 1, "--objects-max", 1], "unrecognized arguments: --objects-max"),
+            (["detect", "--model", "{ckpt}", "--in", "{scene}", "--nms-iou", 0.25], "unrecognized arguments: --nms-iou"),
+            (["probe", "--model", "{ckpt}", "--data", "{data}", "--eps", "inf"], "unrecognized arguments: --eps"),
+            (["probe", "--model", "{ckpt}", "--data", "{data}", "--tol", "nan"], "unrecognized arguments: --tol"),
+            (["gradcheck", "--eps", 0], "unrecognized arguments: --eps"),
+            (["gradcheck", "--tol", "nan"], "unrecognized arguments: --tol"),
         ],
         ids=["train_epochs_0", "train_lr_negative", "train_lr_nan", "ablate_epochs_0",
-             "gen_points_10", "gen_scenes_0", "probe_scenes_negative", "detect_score_threshold_nan",
-             "gradcheck_tol_nan", "gradcheck_eps_0", "probe_tol_nan", "probe_eps_inf", "bench_reps_5",
-             "gen_extent_nan", "gen_noise_negative", "gen_extent_below_diagonal"],
+             "gen_scenes_0", "probe_scenes_negative", "detect_score_threshold_nan", "bench_reps_5",
+             "gen_points_10", "gen_extent_nan", "gen_noise_negative", "gen_extent_below_diagonal",
+             "gen_objects_min", "gen_objects_max", "detect_nms_iou", "probe_eps_inf", "probe_tol_nan",
+             "gradcheck_eps_0", "gradcheck_tol_nan"],
     )
     def test_rejected_flag_exits_1(self, tmp_path, trained_model, capsys, argv, flag):
         data_dir, ckpt = trained_model
@@ -369,19 +391,6 @@ class TestGen:
         for name in ("scene_0000.bin", "scene_0000.json", "scene_0001.bin"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_flag_overrides_config_file(self, tmp_path, small_config_file):
-        out = tmp_path / "data"
-        run(
-            [
-                "gen", "--scenes", 1, "--out", out, "--seed", 3,
-                "--config", small_config_file, "--points", 128,
-            ]
-        )
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["synth"]["points_per_scene"] == 128
-        cloud = DT.read_cloud(out / "scene_0000.bin")
-        assert cloud.n == 128
-
 
 @pytest.fixture()
 def trained_model(tmp_path, small_config_file):
@@ -400,11 +409,11 @@ def trained_model(tmp_path, small_config_file):
     return data_dir, run_dir / "model.ckpt"
 
 
-def with_recorded_in_channels(ckpt, path, width):
-    """A copy of checkpoint ckpt at path whose model config records in_channels."""
+def with_recorded_key(ckpt, path, key, value):
+    """A copy of checkpoint ckpt at path whose model config records key: value."""
     header, blob = ckpt.read_bytes().split(b"\n", 1)
     header = json.loads(header)
-    header["meta"]["model_config"]["in_channels"] = width
+    header["meta"]["model_config"][key] = value
     path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
     return path
 
@@ -421,18 +430,14 @@ class TestTrainDetect:
         _, meta = T.load_checkpoint(ckpt)
         assert meta == {"model_config": manifest["config"]["model"], "train_config": manifest["config"]["train"]}
 
-    def test_assign_margin_survives_checkpoint(self, tmp_path, small_config_file):
-        config = json.loads(Path(small_config_file).read_text())
-        config["model"]["assign_margin"] = 0.5
-        path = tmp_path / "margin.json"
-        path.write_text(json.dumps(config))
-        data_dir, run_dir = tmp_path / "data", tmp_path / "run"
-        assert run(["gen", "--scenes", 1, "--out", data_dir, "--seed", 4, "--config", path]) == 0
-        assert run(
-            ["train", "--data", data_dir, "--out", run_dir, "--seed", 4, "--config", path, "--epochs", 1]
-        ) == 0
-        model, _ = cli._load_model(run_dir / "model.ckpt")
-        assert model.assign_margin == 0.5
+    def test_flag_overrides_config_file(self, trained_model, small_config_file):
+        # the fixture trains with --epochs 2 under a config file whose train.epochs is 3
+        _, ckpt = trained_model
+        assert json.loads(Path(small_config_file).read_text())["train"] == {"epochs": 3, "peak_lr": 0.005}
+        manifest = json.loads((ckpt.parent / "manifest.json").read_text())
+        assert manifest["config"]["train"]["epochs"] == 2
+        assert manifest["config"]["train"]["peak_lr"] == 0.005
+        assert len((ckpt.parent / "loss.csv").read_text().splitlines()) == 1 + 2
 
     def test_checkpoint_with_resolved_defaults_detects_the_same(self, tmp_path, trained_model):
         # older checkpoints record the derived r_prime and candidate_k explicitly
@@ -458,11 +463,13 @@ class TestTrainDetect:
             outs.append(out.read_bytes())
         assert outs[0] and outs[0] == outs[1]
 
-    def test_checkpoint_recording_in_channels_1_detects_the_same(self, tmp_path, trained_model):
-        # checkpoints written while the model config named its input width
+    # older checkpoints record in_channels 1 (the cloud format's width) and assign_margin 0.9
+    @pytest.mark.parametrize("key, value", [("in_channels", 1), ("assign_margin", 0.9)])
+    def test_checkpoint_recording_retired_key_detects_the_same(self, tmp_path, trained_model, key, value):
         data_dir, ckpt = trained_model
-        assert "in_channels" not in T.load_checkpoint(ckpt)[1]["model_config"]
-        legacy = with_recorded_in_channels(ckpt, tmp_path / "legacy.ckpt", 1)
+        assert cli.RETIRED_MODEL_KEYS[key] == value
+        assert key not in T.load_checkpoint(ckpt)[1]["model_config"]
+        legacy = with_recorded_key(ckpt, tmp_path / "legacy.ckpt", key, value)
         assert cli._load_model(legacy)[0] == cli._load_model(ckpt)[0]
         outs = []
         for model in (ckpt, legacy):
@@ -474,14 +481,29 @@ class TestTrainDetect:
             outs.append(out.read_bytes())
         assert outs[0] and outs[0] == outs[1]
 
-    @pytest.mark.parametrize("width", [2, 0, 1.0, True])
-    def test_checkpoint_recording_other_in_channels_exits_2(self, tmp_path, trained_model, capsys, width):
+    @pytest.mark.parametrize(
+        "key, value",
+        [("in_channels", 2), ("in_channels", 0), ("in_channels", 1.0), ("in_channels", True), ("assign_margin", 0.5)],
+    )
+    def test_checkpoint_recording_retired_key_at_other_value_exits_2(self, tmp_path, trained_model, capsys, key, value):
         data_dir, ckpt = trained_model
-        bad = with_recorded_in_channels(ckpt, tmp_path / "bad.ckpt", width)
+        bad = with_recorded_key(ckpt, tmp_path / "bad.ckpt", key, value)
         out = tmp_path / "dets.jsonl"
         capsys.readouterr()
         assert run(["detect", "--model", bad, "--in", data_dir / "scene_0000.bin", "--out", out, "--seed", 5]) == 2
-        assert "model_config.in_channels: unknown key" in capsys.readouterr().err
+        assert f"{bad}: model_config.{key}: unknown key" in capsys.readouterr().err
+        assert not list(tmp_path.glob("dets*"))  # neither --out nor its manifest
+
+    def test_checkpoint_with_extra_tensor_exits_2_naming_it(self, tmp_path, trained_model, capsys):
+        data_dir, ckpt = trained_model
+        arrays, meta = T.load_checkpoint(ckpt)
+        named = [(name, T.Tensor(values)) for name, values in arrays.items()]
+        bad = tmp_path / "extra.ckpt"
+        T.save_checkpoint(bad, named + [("bogus.weight", T.Tensor(np.ones((2, 2))))], meta=meta)
+        out = tmp_path / "dets.jsonl"
+        capsys.readouterr()
+        assert run(["detect", "--model", bad, "--in", data_dir / "scene_0000.bin", "--out", out, "--seed", 5]) == 2
+        assert f"{bad}: checkpoint tensor bogus.weight is not in the model" in capsys.readouterr().err
         assert not list(tmp_path.glob("dets*"))  # neither --out nor its manifest
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
@@ -542,7 +564,7 @@ class TestProbeBenchAblate:
         code = run(
             [
                 "probe", "--model", ckpt, "--data", data_dir, "--out", out,
-                "--seed", 3, "--scenes", 1, "--eps", 1e-3, "--tol", 1e-9,
+                "--seed", 3, "--scenes", 1,
             ]
         )
         assert code == 0
@@ -694,7 +716,6 @@ def model_configs(draw):
         angle_bins=draw(st.integers(2, 24)),
         nms_iou=draw(st.floats(0.0, 1.0, **_finite)),
         score_threshold=draw(st.floats(0.0, 1.0, **_finite)),
-        assign_margin=draw(st.floats(0.0, 2.0, **_finite)),
     )
 
 
@@ -720,7 +741,6 @@ def synth_configs(draw):
         noise_points=noise,
         objects_min=objects_min,
         objects_max=objects_max,
-        point_jitter=draw(st.floats(0.0, 1.0, **_finite)),
         classes=classes,
     )
 

@@ -63,7 +63,7 @@ class TestGenerateScene:
             for box, _ in scene.objects:
                 inflated = Box3D(
                     center=box.center,
-                    size=box.size + 2 * config.point_jitter + 1e-9,
+                    size=box.size + 2 * DT.POINT_JITTER + 1e-9,
                     yaw=box.yaw,
                 )
                 count = sum(
@@ -72,12 +72,12 @@ class TestGenerateScene:
                 assert count >= 8
 
     def test_containment_within_jitter_inflated_box(self):
-        config = small_config(objects_min=1, objects_max=1, point_jitter=0.0)
+        config = small_config(objects_min=1, objects_max=1)
         scene = DT.generate_scene(config, seed=3)
         box, _ = scene.objects[0]
-        # with zero jitter, surface samples lie exactly on the box
-        inflated = Box3D(center=box.center, size=box.size + 1e-9, yaw=box.yaw)
-        inside = sum(point_in_box(p, inflated) for p in scene.cloud.positions)
+        # the jitter stays below the shell inset, so surface samples lie inside the box itself
+        assert DT.POINT_JITTER < DT._SHELL_INSET and (box.size > 4 * DT.POINT_JITTER).all()
+        inside = sum(point_in_box(p, box) for p in scene.cloud.positions)
         per_object = (config.points_per_scene - config.noise_points) // 1
         assert inside >= per_object
 
@@ -194,6 +194,29 @@ class TestLabelIO:
         assert out[0][0].yaw == pytest.approx(normalize_yaw(7.0))
         assert any("normalized" in rec.message for rec in caplog.records)
 
+    def test_yaw_warning_only_outside_range(self, tmp_path, caplog):
+        # normalize_yaw moves some in-range yaws by one ulp; only a yaw outside [-pi, pi) warns
+        path = tmp_path / "labels.json"
+        label = {"class_id": 1, "center": [0, 0, 0], "size": [1, 1, 1]}
+        path.write_text(json.dumps([{**label, "yaw": 0.3}, {**label, "yaw": 4.0}]))
+        with caplog.at_level("WARNING", logger="shiftssd"):
+            DT.read_labels(path)
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"{path}: label 1 yaw 4.000000 outside [-pi, pi), normalized to {normalize_yaw(4.0):.6f}"
+        ]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("center", ["1", "2", "0.5"]), ("size", [True, "2", 1]), ("yaw", "0.3")],
+        ids=["center", "size", "yaw"],
+    )
+    def test_non_number_rejected(self, tmp_path, field, value):
+        path = tmp_path / "bad.json"
+        good = {"class_id": 1, "center": [0, 0, 0], "size": [1, 1, 1], "yaw": 0}
+        path.write_text(json.dumps([good, {**good, field: value}]))
+        with pytest.raises(ValueError, match=rf"bad\.json: label 1 malformed: {field} must be"):
+            DT.read_labels(path)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -272,6 +295,16 @@ class TestDetectionIO:
         path = tmp_path / "dets.jsonl"
         path.write_text(json.dumps(entry) + "\n" + json.dumps({**entry, "class_id": class_id}) + "\n")
         with pytest.raises(ValueError, match=r"dets\.jsonl: bad detection on line 2: class_id"):
+            DT.read_detections(path)
+
+    @pytest.mark.parametrize(
+        "field, value", [("score", "0.5"), ("yaw", False), ("scene_id", 5)], ids=["score", "yaw", "scene_id"]
+    )
+    def test_wrong_type_rejected(self, tmp_path, field, value):
+        entry = {"scene_id": "a", "class_id": 1, "score": 0.5, "center": [0, 0, 0], "size": [1, 1, 1], "yaw": 0.0}
+        path = tmp_path / "dets.jsonl"
+        path.write_text(json.dumps(entry) + "\n" + json.dumps({**entry, field: value}) + "\n")
+        with pytest.raises(ValueError, match=rf"dets\.jsonl: bad detection on line 2: {field} must be"):
             DT.read_detections(path)
 
     def test_missing_scene_id_names_line(self, tmp_path):

@@ -542,6 +542,12 @@ class TestCheckpoint:
         for (_, orig), (_, loaded) in zip(named, fresh):
             np.testing.assert_array_equal(orig.values, loaded.values)
 
+    def test_load_into_rejects_tensor_the_model_lacks(self):
+        named = [("mlp.0.weight", T.Tensor(np.zeros((2, 2))))]
+        arrays = {"mlp.0.weight": np.ones((2, 2)), "bogus.weight": np.ones((1, 1)), "bogus.bias": np.ones((1, 1))}
+        with pytest.raises(ValueError, match="checkpoint tensor bogus.weight is not in the model"):
+            T.load_into(named, arrays)
+
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         T.save_checkpoint(path, [("w", T.Tensor(np.ones((2, 2))))])
