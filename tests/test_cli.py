@@ -481,11 +481,8 @@ class TestTrainDetect:
             outs.append(out.read_bytes())
         assert outs[0] and outs[0] == outs[1]
 
-    @pytest.mark.parametrize(
-        "key, value",
-        [("in_channels", 2), ("in_channels", 0), ("in_channels", 1.0), ("in_channels", True), ("assign_margin", 0.5)],
-    )
-    def test_checkpoint_recording_retired_key_at_other_value_exits_2(self, tmp_path, trained_model, capsys, key, value):
+    @staticmethod
+    def _assert_recorded_key_exits_2(tmp_path, trained_model, capsys, key, value):
         data_dir, ckpt = trained_model
         bad = with_recorded_key(ckpt, tmp_path / "bad.ckpt", key, value)
         out = tmp_path / "dets.jsonl"
@@ -493,6 +490,13 @@ class TestTrainDetect:
         assert run(["detect", "--model", bad, "--in", data_dir / "scene_0000.bin", "--out", out, "--seed", 5]) == 2
         assert f"{bad}: model_config.{key}: unknown key" in capsys.readouterr().err
         assert not list(tmp_path.glob("dets*"))  # neither --out nor its manifest
+
+    @pytest.mark.parametrize("width", [2, 0, 1.0, True])
+    def test_checkpoint_recording_other_in_channels_exits_2(self, tmp_path, trained_model, capsys, width):
+        self._assert_recorded_key_exits_2(tmp_path, trained_model, capsys, "in_channels", width)
+
+    def test_checkpoint_recording_other_assign_margin_exits_2(self, tmp_path, trained_model, capsys):
+        self._assert_recorded_key_exits_2(tmp_path, trained_model, capsys, "assign_margin", 0.5)
 
     def test_checkpoint_with_extra_tensor_exits_2_naming_it(self, tmp_path, trained_model, capsys):
         data_dir, ckpt = trained_model
