@@ -109,8 +109,9 @@ class ModelConfig:
         anchors = np.asarray(self.anchors, dtype=np.float64)
         if not (np.isfinite(anchors).all() and (anchors > 0).all()):
             raise ValueError("anchor sizes must be finite and positive on each axis")
-        if not (np.isfinite(self.score_threshold) and np.isfinite(self.nms_iou)):
-            raise ValueError("score_threshold and nms_iou must be finite")
+        for name in ("score_threshold", "nms_iou"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
 
 
 def with_stage_fields(config: ModelConfig, **fields) -> ModelConfig:

@@ -6,7 +6,10 @@ Training uses Adam under a one-cycle learning-rate schedule, both with
 the fixed constants below; a run sets only epochs, peak_lr and seed. The
 probe freezes every stochastic sampling decision and re-runs the forward
 pass with single input points displaced, so the measured influence
-reflects feature flow rather than sampling jitter.
+reflects feature flow rather than sampling jitter. The frozen decisions
+also give each input point's structural reach, the clusters whose output
+it can move (`structural_reach`), and a displaced copy recomputes only
+those rows.
 
 Every variant model here is a base config edited by
 `detector.with_stage_fields`: the probe's and the bench's plain variant
@@ -294,30 +297,103 @@ class ProbeReport:
         }
 
 
-# Row budget of one batched probe replay: 16 copies of criterion 4's
-# 96-point scenes, 3-4x faster than one replay per coordinate for ~1.5 MB
-# more peak RSS (replays record no graph), and one copy of a 2048-point
-# cloud, as unbatched.
-_PROBE_ROWS = 1536
+# Budget of one chunk of probe replays, in stage-0 grouped rows: a displaced
+# copy costs its reached stage-0 clusters plus their partners, times the sum
+# of the scales' k. 4,608 holds 16 whole copies of criterion 4's model (24
+# clusters of 4 + 8 slots); 1 replays one copy per chunk.
+_PROBE_ROWS = 4608
 
 
-def tile_decisions(decisions: list[S.SsaDecisions], n: int, copies: int) -> list[S.SsaDecisions]:
-    """Frozen decisions for `copies` copies of an n-point cloud stacked
-    row-wise, so one replay runs them as a disjoint union. Copy c's
-    indices into a stage's input shift by c times that input's row
-    count, and its pairing by c times the stage's own row count."""
+def structural_reach(config: D.ModelConfig, decisions: list[S.SsaDecisions], n: int) -> list[np.ndarray]:
+    """Per stage, an n x M bool matrix: a change to input point p can move
+    cluster i's output under the frozen decisions. Each stage's
+    `SsaDecisions.reads` is chained by a boolean matrix product, which no
+    path count can overflow."""
+    reach: list[np.ndarray] = []
+    for d, cfg in zip(decisions, config.stage_ssa):
+        reads = d.reads(reach[-1].shape[1] if reach else n, cfg.exchange_op)
+        reach.append(reach[-1] @ reads if reach else reads)
+    return reach
 
-    def shift(idx: np.ndarray, rows: int) -> np.ndarray:
-        offsets = (np.arange(copies) * rows).reshape(-1, *([1] * idx.ndim))
-        return (idx + offsets).reshape(-1, *idx.shape[1:])
 
-    tiled = []
-    for d in decisions:
-        m = d.cluster_indices.shape[0]
-        tables = [G.NeighborTable(shift(t.indices, n), np.tile(t.valid, (copies, 1))) for t in d.tables]
-        tiled.append(S.SsaDecisions(shift(d.cluster_indices, n), tables, shift(d.pairing, m)))
-        n = m
-    return tiled
+def _replayed(reached: np.ndarray, d: S.SsaDecisions, exchange_op: str) -> np.ndarray:
+    """The clusters a replay computes: the reached ones and, under an
+    exchange, their partners, whose rows the exchange reads."""
+    computed = reached.copy()
+    if exchange_op != "none":
+        copy, cluster = np.nonzero(reached)
+        computed[copy, d.pairing[cluster]] = True
+    return computed
+
+
+def remap_decisions(
+    d: S.SsaDecisions, where: np.ndarray, reached: np.ndarray, exchange_op: str
+) -> tuple[S.SsaDecisions, np.ndarray]:
+    """Frozen decisions for one replay of some clusters of several copies.
+
+    where[c, j] is the replay input row holding copy c's input row j, and
+    reached[c, i] marks the clusters of copy c to recompute. The replay
+    computes those and their partners (`_replayed`) in (copy, cluster)
+    order; a partner-only row pairs with itself. Returns the decisions and
+    which computed rows were reached."""
+    computed = _replayed(reached, d, exchange_op)
+    copy, cluster = np.nonzero(computed)
+    keep = reached[copy, cluster]
+    rows = np.arange(len(cluster))
+    pairing = rows
+    if exchange_op != "none":
+        slot = np.zeros(computed.shape, dtype=np.int64)
+        slot[copy, cluster] = rows
+        pairing = np.where(keep, slot[copy, d.pairing[cluster]], rows)
+    tables = [G.NeighborTable(where[copy[:, None], t.indices[cluster]], t.valid[cluster]) for t in d.tables]
+    return S.SsaDecisions(where[copy, d.cluster_indices[cluster]], tables, pairing), keep
+
+
+def replay_reached(
+    config: D.ModelConfig,
+    params: D.ModelParams,
+    inputs: list[S.ClusterFeatures],
+    decisions: list[S.SsaDecisions],
+    reach: list[np.ndarray],
+    changed: np.ndarray,
+    positions: np.ndarray,
+) -> np.ndarray:
+    """Final-stage features of C changed copies of a frozen forward, only
+    at the clusters each copy can move.
+
+    inputs[t] is stage t's unchanged input; copy c changes the input rows
+    changed[c] (C x N bool) to `positions`, in np.nonzero(changed) order,
+    and reach[t] (C x M_t bool) holds the clusters it may move at stage t.
+    Each stage is one frozen `ssa_forward` over the unchanged rows followed
+    by the copies' changed ones. Returns the rows np.nonzero(reach[-1])
+    lists, in that order."""
+    if not reach[-1].any():  # no cluster to recompute, and a cloud of no rows is rejected
+        return np.zeros((0, config.stage_ssa[-1].out_channels))
+    copy, row = np.nonzero(changed)
+    features = inputs[0].aggregated.values[row]
+    for base, d, cfg, p, reached in zip(inputs, decisions, config.stage_ssa, params.backbone, reach):
+        where = np.tile(np.arange(base.positions.shape[0]), (reached.shape[0], 1))
+        where[copy, row] = base.positions.shape[0] + np.arange(len(row))
+        frozen, keep = remap_decisions(d, where, reached, cfg.exchange_op)
+        stacked = T.Tensor(np.concatenate([base.aggregated.values, features]))
+        out, _ = S.ssa_forward(
+            np.concatenate([base.positions, positions]), stacked, keep.size, cfg, p, seed=0, frozen=frozen
+        )
+        copy, row = np.nonzero(reached)
+        positions, features = out.positions[keep], out.aggregated.values[keep]
+    return features
+
+
+def _chunks(costs: np.ndarray, budget: int):
+    """Consecutive index ranges whose costs sum to at most budget, each
+    holding at least one index."""
+    start, total = 0, 0
+    for i, cost in enumerate(costs.tolist()):
+        if i > start and total + cost > budget:
+            yield np.arange(start, i)
+            start, total = i, 0
+        total += cost
+    yield np.arange(start, len(costs))
 
 
 @T.no_grad()
@@ -333,8 +409,11 @@ def receptive_field_probe(
     backbone with frozen sampling; a point is influential for a cluster
     when any final-stage output channel moves by more than tol.
 
-    Perturbed copies are replayed as one forward over their disjoint
-    union, `_PROBE_ROWS // n` copies (at least one) per chunk."""
+    A displaced point can move only the clusters in its `structural_reach`,
+    so each displaced copy replays only those rows (`replay_reached`) and
+    every other row counts as unmoved. Copies are replayed in chunks whose
+    stage-0 grouped rows, reached clusters plus partners times the sum of
+    the scales' k, stay within `_PROBE_ROWS` (at least one copy each)."""
     for name, value in (("eps", eps), ("tol", tol)):
         if not (np.isfinite(value) and value >= 0):
             raise ValueError(f"{name} must be finite and non-negative, got {value}")
@@ -342,30 +421,30 @@ def receptive_field_probe(
     cluster_positions = fresh[-1].positions
     variants = (model_config, D.with_stage_fields(model_config, exchange_op="none"))
     n = cloud.n
-
-    def final_values(config, positions, frozen):
-        """Final-stage features of each copy in a CxNx3 position stack."""
-        copies = positions.shape[0]
-        stacked = G.PointCloud(positions.reshape(-1, 3), np.tile(cloud.features, (copies, 1)))
-        stages, _ = D.backbone_forward(stacked, config, params, seed, frozen=frozen)
-        out = stages[-1].aggregated.values
-        return out.reshape(copies, -1, out.shape[1])
-
-    # the fresh forward already holds the configured variant's unperturbed values
-    bases = [fresh[-1].aggregated.values, final_values(variants[1], cloud.positions[None], decisions)[0]]
-    m = bases[0].shape[0]
+    # the fresh forward already holds the configured variant's unperturbed stages
+    plain, _ = D.backbone_forward(cloud, variants[1], params, seed, frozen=decisions)
+    source = S.ClusterFeatures(cloud.positions, T.Tensor(cloud.features))
+    bases = [[source, *stages] for stages in (fresh, plain)]
+    reaches = [structural_reach(config, decisions, n) for config in variants]
+    m = cluster_positions.shape[0]
     # moved[v, 3p + axis, i]: displacing point p along axis moves cluster i
     moved = np.zeros((2, 3 * n, m), dtype=bool)
     if eps > 0:
-        chunk = max(1, _PROBE_ROWS // n)
-        for start in range(0, 3 * n, chunk):
-            coords = np.arange(start, min(start + chunk, 3 * n))
-            positions = np.tile(cloud.positions, (len(coords), 1, 1))
-            positions[np.arange(len(coords)), coords // 3, coords % 3] += eps
-            frozen = tile_decisions(decisions, n, len(coords))
+        stage0 = model_config.stage_ssa[0]
+        grouped = _replayed(reaches[0][0], decisions[0], stage0.exchange_op).sum(axis=1)
+        costs = np.repeat(grouped * sum(s.k for s in stage0.scales), 3)
+        for coords in _chunks(costs, _PROBE_ROWS):
+            points = coords // 3
+            changed = np.zeros((len(coords), n), dtype=bool)
+            changed[np.arange(len(coords)), points] = True
+            positions = cloud.positions[points]
+            positions[np.arange(len(coords)), coords % 3] += eps
             for v, config in enumerate(variants):
-                diff = np.abs(final_values(config, positions, frozen) - bases[v]).max(axis=2)
-                moved[v, coords] = diff > tol
+                reach = [r[points] for r in reaches[v]]
+                values = replay_reached(config, params, bases[v][:-1], decisions, reach, changed, positions)
+                copy, cluster = np.nonzero(reach[-1])
+                base = bases[v][-1].aggregated.values[cluster]
+                moved[v, coords[copy], cluster] = np.abs(values - base).max(axis=1) > tol
     influence = moved.reshape(2, n, 3, m).any(axis=2).transpose(0, 2, 1).copy()
     influential_shift, influential_plain = influence
 

@@ -189,6 +189,22 @@ class SsaDecisions:
     tables: list[G.NeighborTable]
     pairing: np.ndarray  # M int64 partner index per cluster; pairing[i] == i means isolated
 
+    def reads(self, rows: int, exchange_op: str) -> np.ndarray:
+        """rows x M bool: which of the layer's `rows` input rows each
+        cluster's output reads under these decisions. A cluster reads every
+        valid table slot at each scale and its own center, which `rel`
+        subtracts; every exchange op but "none" also reads the partner's
+        row, and so whatever the partner reads."""
+        m = self.cluster_indices.shape[0]
+        touched = np.zeros((rows, m), dtype=bool)
+        touched[self.cluster_indices, np.arange(m)] = True
+        for table in self.tables:
+            cluster, slot = np.nonzero(table.valid)
+            touched[table.indices[cluster, slot], cluster] = True
+        if exchange_op != "none":
+            touched |= touched[:, self.pairing]
+        return touched
+
 
 def set_feature_abstraction(
     positions: np.ndarray,

@@ -200,6 +200,9 @@ class TestUsage:
             (lambda c: c.update(trian={}), "trian: unknown key"),
             (lambda c: c["train"].update(peak_lr=float("nan")), "train: peak_lr"),
             (lambda c: c["model"].update(score_threshold=float("nan")), "model: score_threshold"),
+            (lambda c: c["model"].update(nms_iou=-1), "model: nms_iou must lie in [0, 1]"),
+            (lambda c: c["model"].update(nms_iou=2.0), "model: nms_iou must lie in [0, 1]"),
+            (lambda c: c["model"].update(score_threshold=5.0), "model: score_threshold must lie in [0, 1]"),
             (lambda c: c["model"].update(agg_k=0), "model: agg_k"),
             (lambda c: c["model"].update(agg_radius=-1), "model: agg_radius"),
             (lambda c: c["model"].update(agg_f=[]), "model: agg_f"),
@@ -233,7 +236,7 @@ class TestUsage:
         ],
         ids=[
             "rejected_value", "wrong_type", "empty_scales", "unknown_key", "tuple_length", "unknown_section",
-            "nan_lr", "nan_score_threshold", "agg_k_0", "agg_radius_negative", "agg_f_empty",
+            "nan_lr", "nan_score_threshold", "nms_iou_negative", "nms_iou_2", "score_threshold_5", "agg_k_0", "agg_radius_negative", "agg_f_empty",
             "agg_a_width_0", "scale_width_0", "stage_points_0", "scale_radius_nan", "r_prime_nan",
             "derived_r_prime_overflow", "candidate_k_0", "aggregation_width_0", "point_jitter_negative", "mean_size_0",
             "size_jitter_above_mean", "in_channels_unknown", "beta1_unknown", "beta2_unknown", "adam_eps_unknown",
@@ -280,6 +283,8 @@ class TestUsage:
             (["gen", "--scenes", 0], "--scenes"),
             (["probe", "--model", "{ckpt}", "--data", "{data}", "--scenes", -1], "--scenes"),
             (["detect", "--model", "{ckpt}", "--in", "{scene}", "--score-threshold", "nan"], "--score-threshold"),
+            (["detect", "--model", "{ckpt}", "--in", "{scene}", "--score-threshold", 5], "--score-threshold"),
+            (["detect", "--model", "{ckpt}", "--in", "{scene}", "--score-threshold", -1], "--score-threshold"),
             (["bench", "--data", "{data}", "--reps", 5], "--reps"),
             # retired flags: their settings are constants or --config keys, and any value is refused
             (["gen", "--scenes", 1, "--points", 10], "unrecognized arguments: --points"),
@@ -295,7 +300,8 @@ class TestUsage:
             (["gradcheck", "--tol", "nan"], "unrecognized arguments: --tol"),
         ],
         ids=["train_epochs_0", "train_lr_negative", "train_lr_nan", "ablate_epochs_0",
-             "gen_scenes_0", "probe_scenes_negative", "detect_score_threshold_nan", "bench_reps_5",
+             "gen_scenes_0", "probe_scenes_negative", "detect_score_threshold_nan",
+             "detect_score_threshold_5", "detect_score_threshold_negative", "bench_reps_5",
              "gen_points_10", "gen_extent_nan", "gen_noise_negative", "gen_extent_below_diagonal",
              "gen_objects_min", "gen_objects_max", "detect_nms_iou", "probe_eps_inf", "probe_tol_nan",
              "gradcheck_eps_0", "gradcheck_tol_nan"],

@@ -382,7 +382,7 @@ class TestProbe:
     @pytest.mark.parametrize(
         "points, eps, rows",
         [
-            (95, 1e-3, H._PROBE_ROWS),  # 285 coordinates in chunks of 16: the last holds 13
+            (95, 1e-3, H._PROBE_ROWS),  # 285 coordinates in chunks of 83, 89, 100 and 13 copies
             (96, 0.0, H._PROBE_ROWS),
             (96, 1e-3, 1),  # one copy per chunk, as on a cloud of _PROBE_ROWS points or more
         ],
@@ -396,45 +396,135 @@ class TestProbe:
         assert_reports_equal(report, probe_oracle(config, params, cloud, eps, 1e-9, 5))
 
 
-class TestTileDecisions:
+def three_stage_model(exchange_op, shift_ratio):
+    def stage(radii, width):
+        return S.SsaConfig(
+            scales=[
+                S.ScaleConfig(radius=radii[0], k=4, mlp=[width]),
+                S.ScaleConfig(radius=radii[1], k=8, mlp=[width]),
+            ],
+            shift_ratio=shift_ratio,
+            aggregation=[width],
+            exchange_op=exchange_op,
+        )
+
+    return D.ModelConfig(
+        stage_points=(24, 12, 6),
+        stage_ssa=[stage((1.2, 2.4), 8), stage((2.0, 4.0), 8), stage((3.0, 6.0), 8)],
+        num_classes=1,
+        anchors=[(1.0, 1.0, 1.0)],
+    )
+
+
+def jittered_copies(cloud, copies, points, seed):
+    """copies x n bool (each copy moves `points` random input points) and
+    the moved points' new positions, in np.nonzero order."""
+    rng = np.random.default_rng(seed)
+    changed = np.zeros((copies, cloud.n), dtype=bool)
+    for c in range(copies):
+        changed[c, rng.choice(cloud.n, size=points, replace=False)] = True
+    copy, row = np.nonzero(changed)
+    return changed, cloud.positions[row] + rng.normal(scale=0.05, size=(len(row), 3))
+
+
+def replay_jittered(config, params, cloud, seed, decisions, changed, positions):
+    """The reach replay of jittered copies: the final-stage rows each copy
+    can move, in np.nonzero order of the copies' final reach."""
+    stages, _ = D.backbone_forward(cloud, config, params, seed, frozen=decisions)
+    inputs = [S.ClusterFeatures(cloud.positions, T.Tensor(cloud.features)), *stages[:-1]]
+    reach = [changed @ r for r in H.structural_reach(config, decisions, cloud.n)]
+    return reach[-1], H.replay_reached(config, params, inputs, decisions, reach, changed, positions)
+
+
+class TestReach:
+    @pytest.mark.parametrize("rows", [H._PROBE_ROWS, 1])
+    @pytest.mark.parametrize(
+        "exchange_op, shift_ratio",
+        [(op, 1.0 / 8.0) for op in S.EXCHANGE_OPS] + [("cs", 1.0 / 64.0)],  # 1/64 of 8 channels donates none
+    )
+    def test_three_stage_probe_equals_oracle(self, monkeypatch, exchange_op, shift_ratio, rows):
+        config = three_stage_model(exchange_op, shift_ratio)
+        params = D.init_model_params(config, seed=17)
+        cloud = DT.generate_scene(criterion4_synth(64), seed=18).cloud
+        assert cloud.n == 64
+        monkeypatch.setattr(H, "_PROBE_ROWS", rows)
+        report = H.receptive_field_probe(config, params, cloud, eps=1e-3, tol=1e-9, seed=19)
+        assert_reports_equal(report, probe_oracle(config, params, cloud, 1e-3, 1e-9, 19))
+
+    @pytest.mark.parametrize("base, i", PROBE_SCENES, ids=[f"seed{b}-{i}" for b, i in PROBE_SCENES])
+    def test_measured_influence_within_reach(self, criterion4_model, base, i):
+        config, params = criterion4_model
+        cloud = DT.generate_scene(criterion4_synth(), seed=G.derive_seed(base, 60, i)).cloud
+        seed = G.derive_seed(base, 61, i)
+        oracle = probe_oracle(config, params, cloud, 1e-3, 1e-9, seed)
+        _, decisions = D.backbone_forward(cloud, config, params, seed)
+        plain = D.with_stage_fields(config, exchange_op="none")
+        for influential, variant in ((oracle.influential_shift, config), (oracle.influential_plain, plain)):
+            reach = H.structural_reach(variant, decisions, cloud.n)[-1].T
+            assert not (influential & ~reach).any()
+        assert oracle.influential_shift.any()
+
+    def test_cluster_reading_256_changed_rows_is_reached(self):
+        # point 0 is a valid slot of all 256 stage-0 clusters, and the one
+        # stage-1 cluster reads all of them: 256 paths, which a uint8 count wraps to 0
+        stage0 = S.SsaDecisions(
+            np.arange(1, 257),
+            [G.NeighborTable(np.stack([np.arange(1, 257), np.zeros(256, int)], axis=1), np.ones((256, 2), bool))],
+            np.arange(256),
+        )
+        stage1 = S.SsaDecisions(np.array([0]), [G.NeighborTable(np.arange(256)[None], np.ones((1, 256), bool))], np.array([0]))
+        config = D.with_stage_fields(three_stage_model("none", 0.0), exchange_op="none")
+        config = dataclasses.replace(config, stage_points=(256, 1), stage_ssa=config.stage_ssa[:2])
+        first, second = H.structural_reach(config, [stage0, stage1], 257)
+        assert first[0].all() and second[0, 0]
+        assert (first.astype(np.uint8) @ stage1.reads(256, "none").astype(np.uint8))[0, 0] == 0
+
+
+class TestReplayReached:
     @pytest.mark.parametrize("copies", [1, 3, 16])
-    def test_tiled_replay_equals_single_replays(self, criterion4_model, copies):
+    def test_reached_rows_equal_full_replays(self, criterion4_model, copies):
         config, params = criterion4_model
         cloud = DT.generate_scene(criterion4_synth(), seed=G.derive_seed(4, 60, 0)).cloud
         _, decisions = D.backbone_forward(cloud, config, params, seed=21)
-        jitter = np.random.default_rng(copies).normal(scale=0.05, size=(copies, cloud.n, 3))
-        clouds = [PointCloud(positions=cloud.positions + j, features=cloud.features) for j in jitter]
-        singles = [D.backbone_forward(c, config, params, seed=21, frozen=decisions)[0] for c in clouds]
-        stacked = PointCloud(
-            positions=np.concatenate([c.positions for c in clouds]),
-            features=np.tile(cloud.features, (copies, 1)),
-        )
-        tiled = H.tile_decisions(decisions, cloud.n, copies)
-        union, _ = D.backbone_forward(stacked, config, params, seed=21, frozen=tiled)
-        for t, many in enumerate(union):
-            ones = [stages[t] for stages in singles]
-            assert many.positions.tobytes() == np.concatenate([o.positions for o in ones]).tobytes()
-            # OpenBLAS picks its kernel by matrix size, and its small-matrix
-            # kernel rounds differently, so a stacked row may differ from its
-            # single replay in the last bits
-            expected = np.concatenate([o.aggregated.values for o in ones])
-            np.testing.assert_allclose(many.aggregated.values, expected, rtol=1e-12, atol=1e-12)
+        changed, positions = jittered_copies(cloud, copies, 1, seed=copies)
+        copy, row = np.nonzero(changed)
+        for variant in (config, D.with_stage_fields(config, exchange_op="none")):
+            base = D.backbone_forward(cloud, variant, params, seed=21, frozen=decisions)[0][-1].aggregated.values
+            reach, values = replay_jittered(variant, params, cloud, 21, decisions, changed, positions)
+            assert reach.any() and not reach.all()
+            rows = [np.flatnonzero(r) for r in reach]
+            for c in range(copies):
+                moved = cloud.positions.copy()
+                moved[row[copy == c]] = positions[copy == c]
+                full = D.backbone_forward(PointCloud(moved, cloud.features), variant, params, 21, frozen=decisions)
+                full = full[0][-1].aggregated.values
+                # a replay of fewer rows may round differently in the last bits (OpenBLAS picks
+                # its kernel by matrix size); the rows outside the reach equal the base exactly
+                np.testing.assert_allclose(values[np.nonzero(reach)[0] == c], full[rows[c]], rtol=1e-12, atol=1e-12)
+                outside = ~reach[c]
+                assert full[outside].tobytes() == base[outside].tobytes()
 
-    def test_offsets_per_copy(self):
-        table = G.NeighborTable(indices=np.array([[0, 2], [3, 3]]), valid=np.array([[True, True], [True, False]]))
-        decisions = [
-            S.SsaDecisions(np.array([0, 3]), [table], np.array([1, 1])),
-            S.SsaDecisions(np.array([1]), [G.NeighborTable(np.array([[1, 0]]), np.ones((1, 2), bool))], np.array([0])),
-        ]
-        first, second = H.tile_decisions(decisions, n=5, copies=3)
-        np.testing.assert_array_equal(first.cluster_indices, [0, 3, 5, 8, 10, 13])
-        np.testing.assert_array_equal(first.tables[0].indices, [[0, 2], [3, 3], [5, 7], [8, 8], [10, 12], [13, 13]])
-        np.testing.assert_array_equal(first.tables[0].valid, np.tile(table.valid, (3, 1)))
-        np.testing.assert_array_equal(first.pairing, [1, 1, 3, 3, 5, 5])
-        # stage 1 indexes stage 0's two clusters per copy and pairs within its own one
-        np.testing.assert_array_equal(second.cluster_indices, [1, 3, 5])
-        np.testing.assert_array_equal(second.tables[0].indices, [[1, 0], [3, 2], [5, 4]])
-        np.testing.assert_array_equal(second.pairing, [0, 1, 2])
+    @pytest.mark.parametrize("exchange_op", ["cs", "none"])
+    def test_remap_by_hand(self, exchange_op):
+        # 5 input rows, 3 clusters; copy 0 moves input row 1 (replay row 5), copy 1 row 4 (replay row 6)
+        table = G.NeighborTable(np.array([[0, 1], [2, 3], [4, 4]]), np.array([[True, True], [True, True], [True, False]]))
+        d = S.SsaDecisions(np.array([0, 2, 4]), [table], np.array([1, 0, 0]))
+        where = np.array([[0, 5, 2, 3, 4], [0, 1, 2, 3, 6]])
+        reached = np.array([[True, False, False], [False, False, True]])
+        frozen, keep = H.remap_decisions(d, where, reached, exchange_op)
+        if exchange_op == "none":  # no partners: copy 0's cluster 0, copy 1's cluster 2
+            np.testing.assert_array_equal(keep, [True, True])
+            np.testing.assert_array_equal(frozen.cluster_indices, [0, 6])
+            np.testing.assert_array_equal(frozen.tables[0].indices, [[0, 5], [6, 6]])
+            np.testing.assert_array_equal(frozen.pairing, [0, 1])
+            return
+        # copy 0 computes cluster 0 and its partner 1; copy 1 cluster 2 and its partner 0
+        np.testing.assert_array_equal(keep, [True, False, False, True])
+        np.testing.assert_array_equal(frozen.cluster_indices, [0, 2, 0, 6])
+        np.testing.assert_array_equal(frozen.tables[0].indices, [[0, 5], [2, 3], [0, 1], [6, 6]])
+        np.testing.assert_array_equal(frozen.tables[0].valid, table.valid[[0, 1, 0, 2]])
+        # a reached row pairs with its copy's partner row; a partner-only row with itself
+        np.testing.assert_array_equal(frozen.pairing, [1, 1, 2, 2])
 
 
 def stage_bytes(stages: list[S.ClusterFeatures]) -> list[bytes]:
@@ -486,15 +576,13 @@ class TestNoGradForwards:
         assert stage_bytes(free) == stage_bytes(recorded)
         assert free[-1].aggregated._parents == ()
         np.testing.assert_array_equal(free_decisions[-1].pairing, decisions[-1].pairing)
-        # the probe's replay: three jittered copies through the tiled decisions
-        jitter = np.random.default_rng(64).normal(scale=0.05, size=(3, cloud.n, 3))
-        stacked = PointCloud((cloud.positions + jitter).reshape(-1, 3), np.tile(cloud.features, (3, 1)))
-        tiled = H.tile_decisions(decisions, cloud.n, 3)
+        # the probe's replay: three jittered copies over their reach
+        changed, positions = jittered_copies(cloud, 3, 2, seed=64)
         for variant in (config, D.with_stage_fields(config, exchange_op="none")):
-            replay, _ = D.backbone_forward(stacked, variant, params, seed, frozen=tiled)
+            _, replay = replay_jittered(variant, params, cloud, seed, decisions, changed, positions)
             with T.no_grad():
-                free_replay, _ = D.backbone_forward(stacked, variant, params, seed, frozen=tiled)
-            assert stage_bytes(free_replay) == stage_bytes(replay)
+                _, free_replay = replay_jittered(variant, params, cloud, seed, decisions, changed, positions)
+            assert replay.size and free_replay.tobytes() == replay.tobytes()
 
 
 class TestBench:

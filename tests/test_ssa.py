@@ -214,6 +214,38 @@ def toy_config(exchange="cs", selection="farthest", ratio=0.25):
     )
 
 
+class TestDecisionReads:
+    def test_hand_built(self):
+        # cluster 0 centers on row 0, cluster 1 on row 3; padded slots and row 5 (invalid) are not read
+        tables = [
+            G.NeighborTable(np.array([[0, 1, 0], [3, 4, 3]]), np.array([[True, True, False], [True, True, False]])),
+            G.NeighborTable(np.array([[0, 2, 5], [3, 3, 3]]), np.array([[True, True, False], [True, False, False]])),
+        ]
+        d = S.SsaDecisions(np.array([0, 3]), tables, np.array([1, 1]))
+        plain = d.reads(6, "none")
+        np.testing.assert_array_equal(plain.T, [[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0]])
+        # cluster 0 reads its partner 1's row, and so its inputs; cluster 1 is its own partner
+        for op in ("cs", "concat", "avg", "attn"):
+            np.testing.assert_array_equal(d.reads(6, op).T, [[1, 1, 1, 1, 1, 0], [0, 0, 0, 1, 1, 0]])
+
+    @pytest.mark.parametrize("exchange", S.EXCHANGE_OPS)
+    def test_unread_rows_leave_output_unchanged(self, exchange):
+        rng = np.random.default_rng(31)
+        positions = rng.uniform(-3, 3, size=(20, 3))
+        feats = T.Tensor(rng.normal(size=(20, 2)))
+        config = toy_config(exchange=exchange)
+        params = S.init_ssa_params(config, 2, rng)
+        base, decisions = S.ssa_forward(positions, feats, 6, config, params, seed=32)
+        reads = decisions.reads(20, exchange)
+        assert not reads.all()
+        for j in range(20):
+            moved = positions.copy()
+            moved[j] += 1e-3
+            out, _ = S.ssa_forward(moved, feats, 6, config, params, seed=32, frozen=decisions)
+            unread = ~reads[j]
+            assert out.aggregated.values[unread].tobytes() == base.aggregated.values[unread].tobytes()
+
+
 class TestSsaForward:
     def test_none_exchange_is_plain_set_abstraction(self):
         rng = np.random.default_rng(9)
