@@ -298,9 +298,9 @@ class ProbeReport:
 
 
 # Budget of one chunk of probe replays, in stage-0 grouped rows: a displaced
-# copy costs its reached stage-0 clusters plus their partners, times the sum
-# of the scales' k. 4,608 holds 16 whole copies of criterion 4's model (24
-# clusters of 4 + 8 slots); 1 replays one copy per chunk.
+# copy costs the stage-0 clusters it replays plus their partners, times the
+# sum of the scales' k. 4,608 holds 16 whole copies of criterion 4's model
+# (24 clusters of 4 + 8 slots); 1 replays one copy per chunk.
 _PROBE_ROWS = 4608
 
 
@@ -311,37 +311,53 @@ def structural_reach(config: D.ModelConfig, decisions: list[S.SsaDecisions], n: 
     path count can overflow."""
     reach: list[np.ndarray] = []
     for d, cfg in zip(decisions, config.stage_ssa):
-        reads = d.reads(reach[-1].shape[1] if reach else n, cfg.exchange_op)
+        reads = d.reads(reach[-1].shape[1] if reach else n, cfg)
         reach.append(reach[-1] @ reads if reach else reads)
     return reach
 
 
-def _replayed(reached: np.ndarray, d: S.SsaDecisions, exchange_op: str) -> np.ndarray:
-    """The clusters a replay computes: the reached ones and, under an
-    exchange, their partners, whose rows the exchange reads."""
+def _needed(
+    config: D.ModelConfig, decisions: list[S.SsaDecisions], reach: list[np.ndarray], wanted: np.ndarray
+) -> list[np.ndarray]:
+    """The reach pruned backward from the final clusters `wanted` (C x M,
+    within reach[-1]): per stage, the reached rows that the next stage's
+    needed rows read. `SsaDecisions.reads` counts a partner's reads, so
+    a partner that a replay computes only for its exchange reads nothing
+    more."""
+    need = [wanted]
+    for t in range(len(reach) - 1, 0, -1):
+        reads = decisions[t].reads(reach[t - 1].shape[1], config.stage_ssa[t])
+        need.insert(0, reach[t - 1] & (need[0] @ reads.T))
+    return need
+
+
+def _replayed(reached: np.ndarray, d: S.SsaDecisions, config: S.SsaConfig) -> np.ndarray:
+    """The clusters a replay computes: the reached ones and, when the
+    exchange reads partners, their partners."""
     computed = reached.copy()
-    if exchange_op != "none":
+    if config.reads_partner:
         copy, cluster = np.nonzero(reached)
         computed[copy, d.pairing[cluster]] = True
     return computed
 
 
 def remap_decisions(
-    d: S.SsaDecisions, where: np.ndarray, reached: np.ndarray, exchange_op: str
+    d: S.SsaDecisions, where: np.ndarray, reached: np.ndarray, config: S.SsaConfig
 ) -> tuple[S.SsaDecisions, np.ndarray]:
     """Frozen decisions for one replay of some clusters of several copies.
 
     where[c, j] is the replay input row holding copy c's input row j, and
     reached[c, i] marks the clusters of copy c to recompute. The replay
     computes those and their partners (`_replayed`) in (copy, cluster)
-    order; a partner-only row pairs with itself. Returns the decisions and
-    which computed rows were reached."""
-    computed = _replayed(reached, d, exchange_op)
+    order; a partner-only row, and every row of a stage that reads no
+    partner, pairs with itself. Returns the decisions and which computed
+    rows were reached."""
+    computed = _replayed(reached, d, config)
     copy, cluster = np.nonzero(computed)
     keep = reached[copy, cluster]
     rows = np.arange(len(cluster))
     pairing = rows
-    if exchange_op != "none":
+    if config.reads_partner:
         slot = np.zeros(computed.shape, dtype=np.int64)
         slot[copy, cluster] = rows
         pairing = np.where(keep, slot[copy, d.pairing[cluster]], rows)
@@ -374,7 +390,7 @@ def replay_reached(
     for base, d, cfg, p, reached in zip(inputs, decisions, config.stage_ssa, params.backbone, reach):
         where = np.tile(np.arange(base.positions.shape[0]), (reached.shape[0], 1))
         where[copy, row] = base.positions.shape[0] + np.arange(len(row))
-        frozen, keep = remap_decisions(d, where, reached, cfg.exchange_op)
+        frozen, keep = remap_decisions(d, where, reached, cfg)
         stacked = T.Tensor(np.concatenate([base.aggregated.values, features]))
         out, _ = S.ssa_forward(
             np.concatenate([base.positions, positions]), stacked, keep.size, cfg, p, seed=0, frozen=frozen
@@ -396,6 +412,44 @@ def _chunks(costs: np.ndarray, budget: int):
     yield np.arange(start, len(costs))
 
 
+def _probe_pass(
+    config: D.ModelConfig,
+    params: D.ModelParams,
+    base: list[S.ClusterFeatures],
+    decisions: list[S.SsaDecisions],
+    reach: list[np.ndarray],
+    axes: tuple[int, ...],
+    eps: float,
+    tol: float,
+    influence: np.ndarray,
+) -> None:
+    """One probe pass over the frozen forward `base` (its input, then each
+    stage's output). Every input point p whose reach holds a final cluster
+    i with influence[p, i] still False is displaced by eps along each of
+    `axes`, one copy per axis; each copy replays the rows those clusters
+    need (`_needed`), and influence[p, i] becomes True where a copy moves
+    cluster i by more than tol. Copies are replayed in chunks of
+    `_PROBE_ROWS` stage-0 grouped rows (at least one copy each)."""
+    wanted = reach[-1] & ~influence
+    points = np.flatnonzero(wanted.any(axis=1))
+    need = _needed(config, decisions, [r[points] for r in reach], wanted[points])
+    need = [np.repeat(r, len(axes), axis=0) for r in need]
+    points, axes = np.repeat(points, len(axes)), np.tile(axes, len(points))
+    stage0 = config.stage_ssa[0]
+    costs = _replayed(need[0], decisions[0], stage0).sum(axis=1) * sum(s.k for s in stage0.scales)
+    for chunk in _chunks(costs, _PROBE_ROWS):
+        changed = np.zeros((len(chunk), base[0].positions.shape[0]), dtype=bool)
+        changed[np.arange(len(chunk)), points[chunk]] = True
+        positions = base[0].positions[points[chunk]]
+        positions[np.arange(len(chunk)), axes[chunk]] += eps
+        reach = [r[chunk] for r in need]
+        values = replay_reached(config, params, base[:-1], decisions, reach, changed, positions)
+        copy, cluster = np.nonzero(reach[-1])
+        moved = np.abs(values - base[-1].aggregated.values[cluster]).max(axis=1) > tol
+        # one point's y and z copies may share a chunk: a plain |= keeps only the last write
+        np.logical_or.at(influence, (points[chunk][copy], cluster), moved)
+
+
 @T.no_grad()
 def receptive_field_probe(
     model_config: D.ModelConfig,
@@ -410,10 +464,12 @@ def receptive_field_probe(
     when any final-stage output channel moves by more than tol.
 
     A displaced point can move only the clusters in its `structural_reach`,
-    so each displaced copy replays only those rows (`replay_reached`) and
-    every other row counts as unmoved. Copies are replayed in chunks whose
-    stage-0 grouped rows, reached clusters plus partners times the sum of
-    the scales' k, stay within `_PROBE_ROWS` (at least one copy each)."""
+    and every other row counts as unmoved. Each variant makes two passes
+    (`_probe_pass`): the first displaces every point along x, the second
+    along y and along z, and the second replays only the pairs (point,
+    final cluster) that are reached and that x left unmoved. Each copy
+    replays only the reached rows its wanted final clusters depend on,
+    the reach pruned backward stage by stage (`_needed`)."""
     for name, value in (("eps", eps), ("tol", tol)):
         if not (np.isfinite(value) and value >= 0):
             raise ValueError(f"{name} must be finite and non-negative, got {value}")
@@ -424,28 +480,16 @@ def receptive_field_probe(
     # the fresh forward already holds the configured variant's unperturbed stages
     plain, _ = D.backbone_forward(cloud, variants[1], params, seed, frozen=decisions)
     source = S.ClusterFeatures(cloud.positions, T.Tensor(cloud.features))
-    bases = [[source, *stages] for stages in (fresh, plain)]
-    reaches = [structural_reach(config, decisions, n) for config in variants]
     m = cluster_positions.shape[0]
-    # moved[v, 3p + axis, i]: displacing point p along axis moves cluster i
-    moved = np.zeros((2, 3 * n, m), dtype=bool)
+    # influence[v, p, i]: displacing point p along some axis moves cluster i
+    influence = np.zeros((2, n, m), dtype=bool)
     if eps > 0:
-        stage0 = model_config.stage_ssa[0]
-        grouped = _replayed(reaches[0][0], decisions[0], stage0.exchange_op).sum(axis=1)
-        costs = np.repeat(grouped * sum(s.k for s in stage0.scales), 3)
-        for coords in _chunks(costs, _PROBE_ROWS):
-            points = coords // 3
-            changed = np.zeros((len(coords), n), dtype=bool)
-            changed[np.arange(len(coords)), points] = True
-            positions = cloud.positions[points]
-            positions[np.arange(len(coords)), coords % 3] += eps
-            for v, config in enumerate(variants):
-                reach = [r[points] for r in reaches[v]]
-                values = replay_reached(config, params, bases[v][:-1], decisions, reach, changed, positions)
-                copy, cluster = np.nonzero(reach[-1])
-                base = bases[v][-1].aggregated.values[cluster]
-                moved[v, coords[copy], cluster] = np.abs(values - base).max(axis=1) > tol
-    influence = moved.reshape(2, n, 3, m).any(axis=2).transpose(0, 2, 1).copy()
+        for v, (config, stages) in enumerate(zip(variants, (fresh, plain))):
+            reach = structural_reach(config, decisions, n)
+            # x for every reached cluster, then y and z only for those x left unmoved
+            for axes in ((0,), (1, 2)):
+                _probe_pass(config, params, [source, *stages], decisions, reach, axes, eps, tol, influence[v])
+    influence = influence.transpose(0, 2, 1).copy()
     influential_shift, influential_plain = influence
 
     dists = np.sqrt(G.pairwise_sq_dist(cluster_positions, cloud.positions))

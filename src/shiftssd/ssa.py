@@ -90,6 +90,14 @@ class SsaConfig:
     def out_channels(self) -> int:
         return self.resolved().aggregation[-1]
 
+    @property
+    def reads_partner(self) -> bool:
+        """Whether the exchange reads the partner cluster's row: every op
+        but "none", and "cs" only when it donates a channel at some scale."""
+        if self.exchange_op == "cs":
+            return any(shift_channels(self.shift_ratio, s.out_channels) for s in self.scales)
+        return self.exchange_op != "none"
+
 
 def shift_channels(ratio: float, channels: int) -> int:
     """Donated channel count: round(ratio * C) with half-up rounding, clamped."""
@@ -189,11 +197,11 @@ class SsaDecisions:
     tables: list[G.NeighborTable]
     pairing: np.ndarray  # M int64 partner index per cluster; pairing[i] == i means isolated
 
-    def reads(self, rows: int, exchange_op: str) -> np.ndarray:
+    def reads(self, rows: int, config: SsaConfig) -> np.ndarray:
         """rows x M bool: which of the layer's `rows` input rows each
         cluster's output reads under these decisions. A cluster reads every
         valid table slot at each scale and its own center, which `rel`
-        subtracts; every exchange op but "none" also reads the partner's
+        subtracts; when `config.reads_partner` it also reads the partner's
         row, and so whatever the partner reads."""
         m = self.cluster_indices.shape[0]
         touched = np.zeros((rows, m), dtype=bool)
@@ -201,7 +209,7 @@ class SsaDecisions:
         for table in self.tables:
             cluster, slot = np.nonzero(table.valid)
             touched[table.indices[cluster, slot], cluster] = True
-        if exchange_op != "none":
+        if config.reads_partner:
             touched |= touched[:, self.pairing]
         return touched
 

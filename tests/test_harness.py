@@ -382,7 +382,8 @@ class TestProbe:
     @pytest.mark.parametrize(
         "points, eps, rows",
         [
-            (95, 1e-3, H._PROBE_ROWS),  # 285 coordinates in chunks of 83, 89, 100 and 13 copies
+            # the configured variant replays 74 x copies in chunks of 69 and 5, then 112 y and z copies
+            (95, 1e-3, H._PROBE_ROWS),  # in chunks of 86 and 26
             (96, 0.0, H._PROBE_ROWS),
             (96, 1e-3, 1),  # one copy per chunk, as on a cloud of _PROBE_ROWS points or more
         ],
@@ -394,6 +395,28 @@ class TestProbe:
         monkeypatch.setattr(H, "_PROBE_ROWS", rows)
         report = H.receptive_field_probe(config, params, cloud, eps=eps, tol=1e-9, seed=5)
         assert_reports_equal(report, probe_oracle(config, params, cloud, eps, 1e-9, 5))
+
+    def test_y_alone_moves_a_cluster(self, criterion4_model):
+        # on scene seed4-8 only the y displacement of point 61 moves cluster 1 of the cs variant,
+        # so the second pass's y and z copies of that point must not overwrite each other's verdict
+        config, params = criterion4_model
+        cloud = DT.generate_scene(criterion4_synth(), seed=G.derive_seed(4, 60, 8)).cloud
+        seed = G.derive_seed(4, 61, 8)
+        _, decisions = D.backbone_forward(cloud, config, params, seed)
+
+        def cluster_1(positions):
+            stages, _ = D.backbone_forward(PointCloud(positions, cloud.features), config, params, seed, frozen=decisions)
+            return stages[-1].aggregated.values[1]
+
+        base = cluster_1(cloud.positions)
+        moved = []
+        for axis in range(3):
+            positions = cloud.positions.copy()
+            positions[61, axis] += 1e-3
+            moved.append(bool(np.abs(cluster_1(positions) - base).max() > 1e-9))
+        assert moved == [False, True, False]
+        report = H.receptive_field_probe(config, params, cloud, eps=1e-3, tol=1e-9, seed=seed)
+        assert report.influential_shift[1, 61]
 
 
 def three_stage_model(exchange_op, shift_ratio):
@@ -464,6 +487,38 @@ class TestReach:
             assert not (influential & ~reach).any()
         assert oracle.influential_shift.any()
 
+    def test_shift_reach_holds_partner_reach(self, criterion4_model):
+        # structural reach only, on 80 fresh scenes: no replay, so no dead ReLU channel can hide a path
+        config, params = criterion4_model
+        plain = D.with_stage_fields(config, exchange_op="none")
+        wider_pairs = 0
+        for i in range(80):
+            cloud = DT.generate_scene(criterion4_synth(), seed=G.derive_seed(10, 60, i)).cloud
+            _, decisions = D.backbone_forward(cloud, config, params, seed=G.derive_seed(10, 61, i))
+            shift = H.structural_reach(config, decisions, cloud.n)[-1]
+            none = H.structural_reach(plain, decisions, cloud.n)[-1]
+            pairing = decisions[-1].pairing
+            paired = np.flatnonzero(pairing != np.arange(len(pairing)))
+            own, partner, shift = none[:, paired], none[:, pairing[paired]], shift[:, paired]
+            assert not ((own | partner) & ~shift).any(), f"scene {i}"
+            # strictly larger than the cluster's own plain reach wherever the partner's is not inside it
+            wider = (partner & ~own).any(axis=0)
+            assert (shift & ~own).any(axis=0)[wider].all(), f"scene {i}"
+            wider_pairs += int(wider.sum())
+        assert wider_pairs > 0
+
+    def test_cs_donating_nothing_has_plain_reach(self):
+        # 1/64 of 8 channels rounds to 0 at every scale, so no stage reads its partner
+        config = three_stage_model("cs", 1.0 / 64.0)
+        cloud = DT.generate_scene(criterion4_synth(64), seed=18).cloud
+        _, decisions = D.backbone_forward(cloud, config, D.init_model_params(config, seed=17), seed=19)
+        assert all((d.pairing != np.arange(len(d.pairing))).any() for d in decisions)
+        none = H.structural_reach(three_stage_model("none", 1.0 / 64.0), decisions, cloud.n)
+        for cs, plain in zip(H.structural_reach(config, decisions, cloud.n), none):
+            np.testing.assert_array_equal(cs, plain)
+        donating = H.structural_reach(three_stage_model("cs", 1.0 / 8.0), decisions, cloud.n)
+        assert (donating[-1] & ~none[-1]).any()
+
     def test_cluster_reading_256_changed_rows_is_reached(self):
         # point 0 is a valid slot of all 256 stage-0 clusters, and the one
         # stage-1 cluster reads all of them: 256 paths, which a uint8 count wraps to 0
@@ -477,7 +532,7 @@ class TestReach:
         config = dataclasses.replace(config, stage_points=(256, 1), stage_ssa=config.stage_ssa[:2])
         first, second = H.structural_reach(config, [stage0, stage1], 257)
         assert first[0].all() and second[0, 0]
-        assert (first.astype(np.uint8) @ stage1.reads(256, "none").astype(np.uint8))[0, 0] == 0
+        assert (first.astype(np.uint8) @ stage1.reads(256, config.stage_ssa[1]).astype(np.uint8))[0, 0] == 0
 
 
 class TestReplayReached:
@@ -511,7 +566,7 @@ class TestReplayReached:
         d = S.SsaDecisions(np.array([0, 2, 4]), [table], np.array([1, 0, 0]))
         where = np.array([[0, 5, 2, 3, 4], [0, 1, 2, 3, 6]])
         reached = np.array([[True, False, False], [False, False, True]])
-        frozen, keep = H.remap_decisions(d, where, reached, exchange_op)
+        frozen, keep = H.remap_decisions(d, where, reached, three_stage_model(exchange_op, 1.0 / 8.0).stage_ssa[0])
         if exchange_op == "none":  # no partners: copy 0's cluster 0, copy 1's cluster 2
             np.testing.assert_array_equal(keep, [True, True])
             np.testing.assert_array_equal(frozen.cluster_indices, [0, 6])

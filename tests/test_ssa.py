@@ -222,11 +222,19 @@ class TestDecisionReads:
             G.NeighborTable(np.array([[0, 2, 5], [3, 3, 3]]), np.array([[True, True, False], [True, False, False]])),
         ]
         d = S.SsaDecisions(np.array([0, 3]), tables, np.array([1, 1]))
-        plain = d.reads(6, "none")
+        plain = d.reads(6, toy_config(exchange="none"))
         np.testing.assert_array_equal(plain.T, [[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0]])
         # cluster 0 reads its partner 1's row, and so its inputs; cluster 1 is its own partner
         for op in ("cs", "concat", "avg", "attn"):
-            np.testing.assert_array_equal(d.reads(6, op).T, [[1, 1, 1, 1, 1, 0], [0, 0, 0, 1, 1, 0]])
+            np.testing.assert_array_equal(d.reads(6, toy_config(exchange=op)).T, [[1, 1, 1, 1, 1, 0], [0, 0, 0, 1, 1, 0]])
+
+    def test_reads_partner(self):
+        # toy_config's scales are 5 and 4 channels wide: cs at 1/16 or 0 donates none at either
+        for op in S.EXCHANGE_OPS:
+            assert toy_config(exchange=op).reads_partner == (op != "none")
+            for ratio in (1 / 16, 0.0):
+                assert toy_config(exchange=op, ratio=ratio).reads_partner == (op not in ("none", "cs"))
+        assert toy_config(exchange="cs", ratio=1 / 8).reads_partner  # 0.5 of a channel rounds up
 
     @pytest.mark.parametrize("exchange", S.EXCHANGE_OPS)
     def test_unread_rows_leave_output_unchanged(self, exchange):
@@ -236,7 +244,7 @@ class TestDecisionReads:
         config = toy_config(exchange=exchange)
         params = S.init_ssa_params(config, 2, rng)
         base, decisions = S.ssa_forward(positions, feats, 6, config, params, seed=32)
-        reads = decisions.reads(20, exchange)
+        reads = decisions.reads(20, config)
         assert not reads.all()
         for j in range(20):
             moved = positions.copy()
