@@ -91,7 +91,10 @@ def config_from_dict(cls, d, path: str | None = None):
         items = [config_from_dict(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, d))]
         return items if origin is list else tuple(items)
     if cls is float and type(d) in (int, float):
-        return float(d)
+        try:
+            return float(d)
+        except OverflowError as err:  # an int beyond the float range
+            raise ValueError(f"{path}: {err}") from err
     if cls in (int, str) and type(d) is cls:
         return d
     raise ValueError(f"{path}: expected {cls.__name__}, got {type(d).__name__}")

@@ -306,13 +306,14 @@ def dataset(directory) -> list[tuple[Scene, str]]:
 
     A .bin without its .json (or the reverse) is an error naming the
     orphan, and so is a directory with no scene pair. Run manifests
-    (manifest.json) are not scene files and are skipped.
+    (manifest.json and <out>.manifest.json) are not scene files and are
+    skipped.
     """
     root = Path(directory)
     if not root.is_dir():
         raise FileNotFoundError(f"dataset directory {root} does not exist")
     bins = {p.stem for p in root.glob("*.bin")}
-    jsons = {p.stem for p in root.glob("*.json") if p.name != "manifest.json"}
+    jsons = {p.stem for p in root.glob("*.json") if p.stem.rsplit(".", 1)[-1] != "manifest"}
     orphans = sorted(bins.symmetric_difference(jsons))
     if orphans:
         missing = [

@@ -281,19 +281,14 @@ def candidate_aggregation(
     f_mlp: T.MlpParams,
     a_mlp: T.MlpParams,
 ) -> T.Tensor:
-    """Plain single-scale set abstraction centered at the vote candidates.
-
-    `table` row i groups source rows around candidate i. Relative
-    coordinates are built through the graph, letting gradients flow back
+    """Plain single-scale set abstraction at the vote candidates, then the
+    aggregation MLP. `table` row i groups source rows around candidate i;
+    the offsets are built through the graph, letting gradients flow back
     into the vote offsets.
     """
     k = table.indices.shape[1]
-    flat = table.indices.reshape(-1)
-    gathered = T.gather_rows(src_features, flat)
-    rel = T.sub(T.Tensor(src_positions[flat]), T.repeat_rows(candidates, k))
-    per_neighbor = T.mlp_forward(T.concat_cols([gathered, rel]), f_mlp)
-    pooled = T.reduce_max(per_neighbor, k, table.valid)
-    return T.mlp_forward(pooled, a_mlp)
+    rel = T.sub(T.Tensor(src_positions[table.indices.reshape(-1)]), T.repeat_rows(candidates, k))
+    return T.mlp_forward(S.set_feature_abstraction(src_features, rel, table, f_mlp), a_mlp)
 
 
 def prediction_heads(instance: T.Tensor, config: ModelConfig, params: ModelParams) -> RawPrediction:

@@ -215,24 +215,18 @@ class SsaDecisions:
 
 
 def set_feature_abstraction(
-    positions: np.ndarray,
-    features: T.Tensor,
-    cluster_indices: np.ndarray,
-    table: G.NeighborTable,
-    f_mlp: T.MlpParams,
+    features: T.Tensor, rel: T.Tensor, table: G.NeighborTable, f_mlp: T.MlpParams
 ) -> T.Tensor:
-    """Summarize each cluster's ball neighborhood in `table` into one feature row.
+    """The one grouping body: pool each group of `table` into one row.
 
-    Per neighbor the MLP input is [x_k, p_k - p_i]; a masked max over
+    Slot j's MLP input is [x_j, rel_j], `rel` being the (M*K)x3 offsets of
+    the slots from their group centers in slot order: a constant at a
+    backbone scale, a graph node at the vote candidates. A masked max over
     the K slots reduces each group, so padded slots never contribute.
     """
-    k = table.indices.shape[1]
-    flat = table.indices.reshape(-1)
-    rel = positions[flat] - np.repeat(positions[cluster_indices], k, axis=0)
     neighbor_feats = T.gather_rows(features, table.indices)  # the stored array keys its scatter plan
-    mlp_in = T.concat_cols([neighbor_feats, T.Tensor(rel)])
-    per_neighbor = T.mlp_forward(mlp_in, f_mlp)
-    return T.reduce_max(per_neighbor, k, table.valid)
+    per_slot = T.mlp_forward(T.concat_cols([neighbor_feats, rel]), f_mlp)
+    return T.reduce_max(per_slot, table.indices.shape[1], table.valid)
 
 
 def cross_cluster_shift(
@@ -359,13 +353,14 @@ def ssa_forward(
         ]
     else:
         cluster_indices, tables = frozen.cluster_indices, frozen.tables
+        centers = positions[cluster_indices]
 
     per_scale = [
-        set_feature_abstraction(positions, features, cluster_indices, table, f_mlp)
-        for table, f_mlp in zip(tables, params.f_mlps)
+        set_feature_abstraction(features, T.Tensor((positions[t.indices] - centers[:, None]).reshape(-1, 3)), t, mlp)
+        for t, mlp in zip(tables, params.f_mlps)
     ]
 
-    clusters = G.PointCloud(positions=positions[cluster_indices])
+    clusters = G.PointCloud(positions=centers)
     if frozen is not None:
         pairing = frozen.pairing
     else:

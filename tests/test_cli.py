@@ -233,6 +233,9 @@ class TestUsage:
             (lambda c: c["synth"].update(extent=float("nan")), "synth: extent must be finite and positive"),
             (lambda c: c["synth"].update(points_per_scene=10), "synth: config cannot guarantee 8 surface points"),
             (lambda c: c["synth"].update(noise_points=-50), "synth: noise_points must be >= 0"),
+            (lambda c: c["train"].update(peak_lr=10**400), "train.peak_lr: int too large to convert to float"),
+            (lambda c: c["model"]["stage_ssa"][0]["scales"][0].update(radius=10**400),
+             "model.stage_ssa[0].scales[0].radius: int too large to convert to float"),
         ],
         ids=[
             "rejected_value", "wrong_type", "empty_scales", "unknown_key", "tuple_length", "unknown_section",
@@ -243,6 +246,7 @@ class TestUsage:
             "warmup_frac_unknown", "div_factor_unknown", "final_div_factor_unknown", "noise_height_unknown",
             "assign_margin_nan", "anchor_size_0",
             "extent_below_diagonal", "extent_nan", "points_per_scene_10", "noise_points_negative",
+            "peak_lr_beyond_float", "radius_beyond_float",
         ],
     )
     def test_malformed_config_exits_1(self, tmp_path, small_config_file, capsys, edit, where):

@@ -396,6 +396,13 @@ class TestDataset:
             assert cls == cls2
             np.testing.assert_array_equal(box.center, box2.center)
 
+    def test_run_manifests_skipped(self, tmp_path):
+        # `bench --out <dataset>/bench.csv` leaves its manifest beside the scenes
+        write_scene(tmp_path, "scene_0000", DT.generate_scene(small_config(), seed=0))
+        (tmp_path / "manifest.json").write_text("{}")
+        (tmp_path / "bench.csv.manifest.json").write_text("{}")
+        assert [sid for _, sid in DT.dataset(tmp_path)] == ["scene_0000"]
+
     def test_directory_without_scenes_rejected(self, tmp_path):
         (tmp_path / "manifest.json").write_text("{}")  # a run manifest is not a scene
         with pytest.raises(ValueError) as caught:

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from shiftssd import detector as D
 from shiftssd import geometry as G
 from shiftssd import ssa as S
 from shiftssd import tensor as T
@@ -45,6 +46,12 @@ def ball_table(positions, cluster_indices, radius, k, seed):
     return G.ball_query(cloud, positions[cluster_indices], radius, k, seed, self_indices=cluster_indices)
 
 
+def slot_offsets(positions, cluster_indices, table):
+    """The constant (M*K)x3 offsets of one scale's slots from their cluster centers."""
+    k = table.indices.shape[1]
+    return T.Tensor(positions[table.indices.reshape(-1)] - np.repeat(positions[cluster_indices], k, axis=0))
+
+
 class TestSetFeatureAbstraction:
     def test_identity_on_coords_hand_case(self):
         positions = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
@@ -52,7 +59,7 @@ class TestSetFeatureAbstraction:
         # single linear layer that passes the relative coordinates through
         f_mlp = identity_mlp(3)
         table = ball_table(positions, np.array([0]), radius=5.0, k=3, seed=0)
-        pooled = S.set_feature_abstraction(positions, feats, np.array([0]), table, f_mlp)
+        pooled = S.set_feature_abstraction(feats, slot_offsets(positions, np.array([0]), table), table, f_mlp)
         assert table.valid[0].all()
         np.testing.assert_array_equal(pooled.values, [[1.0, 2.0, 0.0]])
 
@@ -61,7 +68,7 @@ class TestSetFeatureAbstraction:
         feats = T.Tensor(np.array([[3.0], [7.0]]))
         f_mlp = identity_mlp(4)
         table = ball_table(positions, np.array([0]), radius=1.0, k=4, seed=0)
-        pooled = S.set_feature_abstraction(positions, feats, np.array([0]), table, f_mlp)
+        pooled = S.set_feature_abstraction(feats, slot_offsets(positions, np.array([0]), table), table, f_mlp)
         assert table.valid[0].sum() == 1
         np.testing.assert_array_equal(pooled.values, [[3.0, 0.0, 0.0, 0.0]])
 
@@ -72,9 +79,111 @@ class TestSetFeatureAbstraction:
         cluster_indices = np.array([1, 5, 9, 14])
         f_mlp = T.init_mlp([5, 6, 4], rng, final_relu=True)
         table = ball_table(positions, cluster_indices, radius=2.0, k=5, seed=3)
-        pooled = S.set_feature_abstraction(positions, T.Tensor(feats_np), cluster_indices, table, f_mlp)
+        rel = slot_offsets(positions, cluster_indices, table)
+        pooled = S.set_feature_abstraction(T.Tensor(feats_np), rel, table, f_mlp)
         expected = naive_sfa(positions, feats_np, cluster_indices, table, f_mlp)
         np.testing.assert_allclose(pooled.values, expected, rtol=0, atol=1e-12)
+
+
+def reference_constant_sfa(positions, features, cluster_indices, table, f_mlp):
+    """The backbone grouping body as it was written before it took its
+    offsets as an argument: constant offsets built inside."""
+    k = table.indices.shape[1]
+    flat = table.indices.reshape(-1)
+    rel = positions[flat] - np.repeat(positions[cluster_indices], k, axis=0)
+    neighbor_feats = T.gather_rows(features, table.indices)
+    per_neighbor = T.mlp_forward(T.concat_cols([neighbor_feats, T.Tensor(rel)]), f_mlp)
+    return T.reduce_max(per_neighbor, k, table.valid)
+
+
+def reference_candidate_aggregation(candidates, src_positions, src_features, table, f_mlp, a_mlp):
+    """The candidate grouping body as it was written with its own gather,
+    in-graph offsets, MLP and masked max."""
+    k = table.indices.shape[1]
+    flat = table.indices.reshape(-1)
+    gathered = T.gather_rows(src_features, flat)
+    rel = T.sub(T.Tensor(src_positions[flat]), T.repeat_rows(candidates, k))
+    per_neighbor = T.mlp_forward(T.concat_cols([gathered, rel]), f_mlp)
+    return T.mlp_forward(T.reduce_max(per_neighbor, k, table.valid), a_mlp)
+
+
+def random_groups(rng, n, anchors, k):
+    """A table over n rows anchored at `anchors`: random slots, about a
+    third of them invalid, and the last slot repeating slot 0 so that the
+    two tie on every channel whenever both are valid."""
+    indices = rng.integers(0, n, size=(anchors.shape[0], k))
+    indices[:, 0] = anchors
+    indices[:, -1] = anchors
+    valid = rng.random(indices.shape) < 0.65
+    valid[:, 0] = True
+    return G.NeighborTable(indices=indices, valid=valid)
+
+
+def forward_and_grads(forward, leaves, params):
+    """Bytes of one forward and of the gradients a random upstream gradient
+    gives every leaf and parameter."""
+    T.zero_grads(params)
+    out = forward(*leaves)
+    out.backward(np.random.default_rng(0).normal(size=out.shape))
+    return [out.values.tobytes()] + [t.grad.tobytes() for t in [*leaves, *params]]
+
+
+class TestOneGroupingBody:
+    """Both grouping sites pool through set_feature_abstraction; each must
+    give the bytes, forward and backward, of its former own body."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ssa_site_equals_constant_offset_body(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = 30, 8
+        positions = rng.uniform(-2, 2, size=(n, 3))
+        feats = rng.normal(size=(n, 3))
+        cluster_indices = rng.choice(n, size=m, replace=False)
+        config = S.SsaConfig(
+            scales=[S.ScaleConfig(radius=1.0, k=4, mlp=[6]), S.ScaleConfig(radius=2.0, k=7, mlp=[5, 4])],
+            exchange_op="none",
+        )
+        params = S.init_ssa_params(config, in_channels=3, rng=rng)
+        tables = [random_groups(rng, n, cluster_indices, scale.k) for scale in config.scales]
+        frozen = S.SsaDecisions(cluster_indices=cluster_indices, tables=tables, pairing=np.arange(m))
+
+        def through_ssa_forward(features):
+            return S.ssa_forward(positions, features, m, config, params, seed=0, frozen=frozen)[0].aggregated
+
+        def through_reference(features):
+            per_scale = [
+                reference_constant_sfa(positions, features, cluster_indices, table, f_mlp)
+                for table, f_mlp in zip(tables, params.f_mlps)
+            ]
+            return S.aggregate_scales(per_scale, params.aggregate)
+
+        got, want = (
+            forward_and_grads(forward, [T.Tensor(feats)], params.tensors())
+            for forward in (through_ssa_forward, through_reference)
+        )
+        assert got == want
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_candidate_site_equals_in_graph_offset_body(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n, m, k = 12, 12, 6
+        src_pos = rng.uniform(-2, 2, size=(n, 3))
+        src_feats = rng.normal(size=(n, 4))
+        cand = src_pos + rng.normal(scale=0.3, size=(m, 3))
+        f_mlp = T.init_mlp([7, 8, 6], rng, final_relu=True)
+        a_mlp = T.init_mlp([6, 5], rng, final_relu=True)
+        table = random_groups(rng, n, np.arange(m), k)
+        params = f_mlp.tensors() + a_mlp.tensors()
+
+        got, want = (
+            forward_and_grads(
+                lambda candidates, features: aggregation(candidates, src_pos, features, table, f_mlp, a_mlp),
+                [T.Tensor(cand), T.Tensor(src_feats)],
+                params,
+            )
+            for aggregation in (D.candidate_aggregation, reference_candidate_aggregation)
+        )
+        assert got == want
 
 
 class TestCrossClusterShift:
@@ -265,7 +374,9 @@ class TestSsaForward:
 
         # manual abstract-then-aggregate pipeline on the same frozen decisions
         per_scale = [
-            S.set_feature_abstraction(positions, T.Tensor(feats), decisions.cluster_indices, table, f_mlp)
+            S.set_feature_abstraction(
+                T.Tensor(feats), slot_offsets(positions, decisions.cluster_indices, table), table, f_mlp
+            )
             for table, f_mlp in zip(decisions.tables, params.f_mlps)
         ]
         expected = S.aggregate_scales(per_scale, params.aggregate)
@@ -284,8 +395,9 @@ class TestSsaForward:
         params = S.init_ssa_params(config, in_channels=1, rng=np.random.default_rng(12))
         out, decisions = S.ssa_forward(positions, T.Tensor(feats), 3, config, params, seed=2)
         np.testing.assert_array_equal(np.sort(decisions.pairing), np.arange(3))
+        table = decisions.tables[0]
         scale0 = S.set_feature_abstraction(
-            positions, T.Tensor(feats), decisions.cluster_indices, decisions.tables[0], params.f_mlps[0]
+            T.Tensor(feats), slot_offsets(positions, decisions.cluster_indices, table), table, params.f_mlps[0]
         )
         collapsed = S.cross_cluster_shift(
             scale0,
