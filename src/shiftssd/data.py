@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detector import CLOUD_CHANNELS, Box3D, Detection, bev_intersection_area, normalize_yaw
+from .detector import CLOUD_CHANNELS, Box3D, Detection, bev_intersection_area
 from .geometry import PointCloud
 
 log = logging.getLogger("shiftssd")
@@ -220,16 +220,18 @@ def _vector(value, key: str) -> list[float]:
     return [_number(v, key) for v in value]
 
 
+def _box_fields(box: Box3D) -> dict:
+    """A box as the center, size and yaw fields of a label or detection record."""
+    return {"center": [float(v) for v in box.center], "size": [float(v) for v in box.size], "yaw": float(box.yaw)}
+
+
+def _read_box(entry) -> Box3D:
+    """The box held in a record's center, size and yaw fields."""
+    return Box3D(_vector(entry["center"], "center"), _vector(entry["size"], "size"), _number(entry["yaw"], "yaw"))
+
+
 def write_labels(path, objects: list[tuple[Box3D, int]]) -> None:
-    payload = [
-        {
-            "class_id": int(cls),
-            "center": [float(v) for v in box.center],
-            "size": [float(v) for v in box.size],
-            "yaw": float(box.yaw),
-        }
-        for box, cls in objects
-    ]
+    payload = [{"class_id": int(cls), **_box_fields(box)} for box, cls in objects]
     Path(path).write_text(json.dumps(payload, indent=1) + "\n")
 
 
@@ -243,11 +245,11 @@ def read_labels(path) -> list[tuple[Box3D, int]]:
     out = []
     for i, entry in enumerate(payload):
         try:
-            yaw = _number(entry["yaw"], "yaw")
-            box = Box3D(_vector(entry["center"], "center"), _vector(entry["size"], "size"), normalize_yaw(yaw))
+            box = _read_box(entry)
             cls = _class_id(entry["class_id"])
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ValueError(f"{path}: label {i} malformed: {err}") from err
+        yaw = float(entry["yaw"])
         if not -math.pi <= yaw < math.pi:
             log.warning("%s: label %d yaw %.6f outside [-pi, pi), normalized to %.6f", path, i, yaw, box.yaw)
         out.append((box, cls))
@@ -261,19 +263,8 @@ def read_labels(path) -> list[tuple[Box3D, int]]:
 def write_detections(path, scene_id: str, detections: list[Detection]) -> None:
     with open(path, "w") as fh:
         for det in detections:
-            fh.write(
-                json.dumps(
-                    {
-                        "scene_id": scene_id,
-                        "class_id": int(det.class_id),
-                        "score": float(det.score),
-                        "center": [float(v) for v in det.box.center],
-                        "size": [float(v) for v in det.box.size],
-                        "yaw": float(det.box.yaw),
-                    }
-                )
-            )
-            fh.write("\n")
+            record = {"scene_id": scene_id, "class_id": int(det.class_id), "score": float(det.score)}
+            fh.write(json.dumps({**record, **_box_fields(det.box)}) + "\n")
 
 
 def read_detections(path) -> list[tuple[str, Detection]]:
@@ -284,7 +275,7 @@ def read_detections(path) -> list[tuple[str, Detection]]:
         try:
             entry = json.loads(line)
             det = Detection(
-                box=Box3D(_vector(entry["center"], "center"), _vector(entry["size"], "size"), _number(entry["yaw"], "yaw")),
+                box=_read_box(entry),
                 class_id=_class_id(entry["class_id"]),
                 score=_number(entry["score"], "score"),
             )

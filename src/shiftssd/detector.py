@@ -23,8 +23,11 @@ CLOUD_CHANNELS = 1  # feature channels per point in the cloud format: intensity
 
 
 def normalize_yaw(yaw: float) -> float:
-    """Wrap an angle into [-pi, pi)."""
-    return float((yaw + np.pi) % TWO_PI - np.pi)
+    """Wrap an angle into [-pi, pi), idempotently. A shifted angle that rounds
+    up to 2 pi (one ulp below -pi does) wraps to -pi; an angle in range may
+    still move by a few ulps (0.3 gives 0.2999999999999998)."""
+    wrapped = (yaw + np.pi) % TWO_PI
+    return -np.pi if wrapped == TWO_PI else float(wrapped - np.pi)
 
 
 @dataclass(frozen=True)
@@ -379,10 +382,6 @@ def encode_angle(yaw: float, bins: int) -> tuple[int, float]:
     return bin_id, float(res)
 
 
-def decode_angle(bin_id: int, res: float, bins: int) -> float:
-    return normalize_yaw(bin_center(bin_id, bins) + res * (np.pi / bins))
-
-
 def encode_box(box: Box3D, candidate: np.ndarray, anchor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Center residual and log-space size residual relative to a candidate/anchor."""
     anchor = np.asarray(anchor, dtype=np.float64)
@@ -401,7 +400,7 @@ def decode_box(
     return Box3D(
         center=np.asarray(candidate, dtype=np.float64) + np.asarray(center_res, dtype=np.float64),
         size=np.asarray(anchor, dtype=np.float64) * np.exp(np.asarray(size_res, dtype=np.float64)),
-        yaw=decode_angle(bin_id, bin_res, bins),
+        yaw=bin_center(bin_id, bins) + bin_res * (np.pi / bins),
     )
 
 

@@ -287,29 +287,12 @@ def ball_query(
     return NeighborTable(indices=indices, valid=valid)
 
 
-def pairing_from_table(
-    positions: np.ndarray, table: NeighborTable, mode: str, scores: np.ndarray | None = None
-) -> np.ndarray:
-    """Each row's partner index (M int64), its sampled candidates ranked by
-    distance or by an external score.
-
-    mode 'farthest'/'nearest' ranks candidates by squared distance to
-    the center; mode 'score' ranks by scores[candidate index], larger
-    wins. Ties break to the smallest candidate index; rows without a
-    non-self candidate pair with themselves.
-    """
+def pairing_from_table(table: NeighborTable, key: np.ndarray) -> np.ndarray:
+    """Each row's partner index (M int64): its valid candidate in slots 1..K-1
+    with the largest key (M×(K-1), one per slot), the smallest index on ties,
+    or its anchor when the row has no valid candidate."""
     anchor, cand = table.indices[:, 0], table.indices[:, 1:]
     usable = table.valid[:, 1:]
-    if mode in ("farthest", "nearest"):
-        key = ((positions[cand] - positions[anchor][:, None, :]) ** 2).sum(axis=2)
-        if mode == "nearest":
-            key = -key
-    elif mode == "score":
-        if scores is None:
-            raise ValueError("mode 'score' requires a score array")
-        key = np.asarray(scores)[cand]
-    else:
-        raise ValueError(f"unknown pairing mode {mode!r}")
     none = np.iinfo(np.int64).max
     key = np.where(usable, key, -np.inf)
     best = key.max(axis=1, keepdims=True, initial=-np.inf)

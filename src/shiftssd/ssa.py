@@ -294,10 +294,11 @@ def selection_variant(
     ablation strategies; a cluster with no other candidate pairs with
     itself.
 
-    Every strategy ranks the same table: up to k - 1 candidates sampled
-    within r_prime of each cluster. farthest/nearest rank them by
-    distance; feats_scale by the candidate's channel-mean feature value;
-    points_num by how many valid neighbors the candidate's own grouping
+    Every strategy keys the same table, up to k - 1 candidates sampled
+    within r_prime of each cluster, and `geometry.pairing_from_table` takes
+    the largest key: farthest and nearest key on plus and minus squared
+    distance; feats_scale on the candidate's channel-mean feature value;
+    points_num on how many valid neighbors the candidate's own grouping
     found. Ties break to the smallest candidate index.
     """
     if strategy not in SELECTION_STRATEGIES:
@@ -307,13 +308,15 @@ def selection_variant(
     if strategy == "points_num" and valid_counts is None:
         raise ValueError("points_num selection needs per-cluster valid neighbor counts")
     table = G.ball_query(clusters, clusters.positions, r_prime, k, seed, self_indices=np.arange(clusters.n))
+    positions, cand = clusters.positions, table.indices[:, 1:]
     if strategy in ("farthest", "nearest"):
-        return G.pairing_from_table(clusters.positions, table, mode=strategy)
-    if strategy == "feats_scale":
-        scores = np.asarray(features, dtype=np.float64).mean(axis=1)
+        key = ((positions[cand] - positions[table.indices[:, 0]][:, None, :]) ** 2).sum(axis=2)
+        key = -key if strategy == "nearest" else key
+    elif strategy == "feats_scale":
+        key = np.asarray(features, dtype=np.float64).mean(axis=1)[cand]
     else:
-        scores = np.asarray(valid_counts, dtype=np.float64)
-    return G.pairing_from_table(clusters.positions, table, mode="score", scores=scores)
+        key = np.asarray(valid_counts, dtype=np.float64)[cand]
+    return G.pairing_from_table(table, key)
 
 
 def aggregate_scales(per_scale: list[T.Tensor], a_mlp: T.MlpParams) -> T.Tensor:

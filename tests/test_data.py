@@ -205,6 +205,22 @@ class TestLabelIO:
             f"{path}: label 1 yaw 4.000000 outside [-pi, pi), normalized to {normalize_yaw(4.0):.6f}"
         ]
 
+    def test_yaw_one_ulp_below_minus_pi_wraps_to_minus_pi(self, tmp_path):
+        below = -3.1415926535897936  # np.nextafter(-np.pi, -np.inf)
+        assert normalize_yaw(below) == -np.pi
+        for edge in (np.pi, -np.pi, 3 * np.pi, -3 * np.pi):
+            bits = np.array(edge).view(np.int64) + np.arange(-2000, 2001)
+            for yaw in bits.view(np.float64).tolist():
+                wrapped = normalize_yaw(yaw)
+                assert -np.pi <= wrapped < np.pi, yaw
+                assert normalize_yaw(wrapped) == wrapped, yaw
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps([{"class_id": 1, "center": [0, 0, 0], "size": [1, 1, 1], "yaw": below}]))
+        (box, _), = DT.read_labels(path)
+        direct = Box3D(center=[0, 0, 0], size=[1, 1, 1], yaw=below)
+        assert (box.center.tobytes(), box.size.tobytes()) == (direct.center.tobytes(), direct.size.tobytes())
+        assert np.float64(box.yaw).tobytes() == np.float64(direct.yaw).tobytes()
+
     @pytest.mark.parametrize(
         "field, value",
         [("center", ["1", "2", "0.5"]), ("size", [True, "2", 1]), ("yaw", "0.3")],

@@ -440,8 +440,10 @@ class TestOracles:
         for cloud, centers, anchors, radius, k, seed in oracle_cases(rng, self.SIZES):
             table = G.ball_query(cloud, centers, radius=radius, k=k, seed=seed, self_indices=anchors)
             scores = rng.integers(0, 3, size=cloud.n).astype(np.float64)
-            for mode in ("farthest", "nearest", "score"):
-                got = G.pairing_from_table(cloud.positions, table, mode, scores=scores)
+            cand = table.indices[:, 1:]
+            d2 = ((cloud.positions[cand] - cloud.positions[table.indices[:, :1]]) ** 2).sum(axis=2)
+            for mode, key in (("farthest", d2), ("nearest", -d2), ("score", scores[cand])):
+                got = G.pairing_from_table(table, key)
                 expected = reference_pairing(cloud.positions, table, mode, scores=scores)
                 np.testing.assert_array_equal(got, expected)
             usable = table.valid[:, 1:]
@@ -451,12 +453,18 @@ class TestOracles:
         assert ties > 0  # rows whose best score is held by several candidates
 
     def test_tie_goes_to_smallest_index_not_first_slot(self):
-        pos = np.array([[0.0, 0.0, 0.0], [9.0, 9.0, 9.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         table = G.NeighborTable(indices=np.array([[0, 3, 2]]), valid=np.ones((1, 3), dtype=bool))
-        for mode in ("farthest", "nearest"):
-            assert G.pairing_from_table(pos, table, mode).tolist() == [2]
-        scores = np.array([0.0, 0.0, 5.0, 5.0])
-        assert G.pairing_from_table(pos, table, "score", scores=scores).tolist() == [2]
+        for value in (-1.0, 0.0, 5.0):
+            assert G.pairing_from_table(table, np.full((1, 2), value)).tolist() == [2]
+
+    def test_invalid_slot_never_wins(self):
+        # row 0's invalid slot holds the largest key; row 1 has no valid candidate
+        table = G.NeighborTable(
+            indices=np.array([[0, 1, 2, 3], [4, 5, 6, 7]]),
+            valid=np.array([[True, True, False, True], [True, False, False, False]]),
+        )
+        key = np.array([[1.0, np.inf, 2.0], [9.0, 8.0, 7.0]])
+        assert G.pairing_from_table(table, key).tolist() == [3, 4]
 
     def test_dfps_matches_reference(self):
         rng = np.random.default_rng(19)

@@ -7,6 +7,7 @@ from shiftssd import detector as D
 from shiftssd import geometry as G
 from shiftssd import ssa as S
 from shiftssd import tensor as T
+from test_geometry import reference_pairing
 
 
 def identity_mlp(c):
@@ -681,10 +682,8 @@ class TestSelectionVariants:
             )
             table = tables[-1]
             assert pairing.dtype == np.int64
-            if strategy in scores:
-                expected = G.pairing_from_table(cloud.positions, table, "score", scores=scores[strategy])
-            else:
-                expected = G.pairing_from_table(cloud.positions, table, strategy)
+            mode = "score" if strategy in scores else strategy
+            expected = reference_pairing(cloud.positions, table, mode, scores=scores.get(strategy))
             np.testing.assert_array_equal(pairing, expected)
         assert len(tables) == len(S.SELECTION_STRATEGIES)
         for table in tables[1:]:
