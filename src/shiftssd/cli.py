@@ -23,6 +23,7 @@ import sys
 import time
 import types
 import typing
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -100,10 +101,11 @@ def config_from_dict(cls, d, path: str | None = None):
     raise ValueError(f"{path}: expected {cls.__name__}, got {type(d).__name__}")
 
 
-def _load_config_file(path: str | None) -> tuple[D.ModelConfig | None, DT.SynthConfig, H.TrainConfig]:
-    """(model, synth, train) from a --config file. An absent model is None;
-    absent synth and train sections take the dataclass defaults. A
-    `train.seed` key is rejected: --seed sets the seed."""
+def _load_config_file(path: str | None) -> tuple[D.ModelConfig, DT.SynthConfig, H.TrainConfig]:
+    """(model, synth, train) from a --config file. Absent synth and train
+    sections take the dataclass defaults, and an absent model is the default
+    model anchored at the synth class mean sizes. A `train.seed` key is
+    rejected: --seed sets the seed."""
     payload = {}
     if path:
         try:
@@ -124,38 +126,29 @@ def _load_config_file(path: str | None) -> tuple[D.ModelConfig | None, DT.SynthC
         train = config_from_dict(H.TrainConfig, train, "train")
     except ValueError as err:
         raise UsageError(f"config file {path}: {err}") from err
+    if model is None:
+        model = D.default_model_config([tuple(spec.mean_size) for spec in synth.classes])
     return model, synth, train
 
 
 def _override(config, args, fields: dict[str, str]):
     """A copy of config with each flag in fields ({dest: field name}) that
-    was given replacing its field. The dataclass validates the result as it
-    does a --config value; a rejected value is a UsageError naming the flags
-    that fail on their own (or, if none does, every given flag)."""
-    given = {dest: getattr(args, dest, None) for dest in fields}
-    given = {dest: value for dest, value in given.items() if value is not None}
-    try:
-        return dataclasses.replace(config, **{fields[d]: v for d, v in given.items()})
-    except ValueError as err:
-        def rejects(dest):
+    was given replacing its field, one flag at a time. The dataclass
+    validates each as it does a --config value; the first it rejects is a
+    UsageError naming that flag."""
+    for dest, name in fields.items():
+        value = getattr(args, dest, None)
+        if value is not None:
             try:
-                dataclasses.replace(config, **{fields[dest]: given[dest]})
-            except ValueError:
-                return True
-            return False
-
-        blamed = [d for d in given if rejects(d)] or list(given)
-        flags = ", ".join("--" + d.replace("_", "-") for d in blamed)
-        raise UsageError(f"{flags}: {err}") from err
+                config = dataclasses.replace(config, **{name: value})
+            except ValueError as err:
+                raise UsageError(f"--{dest.replace('_', '-')}: {err}") from err
+    return config
 
 
 def _train_setup(args) -> tuple[D.ModelConfig, H.TrainConfig]:
-    """The --config model, or the default model anchored at the synth class
-    mean sizes, and the --config TrainConfig under --seed/--epochs/--lr."""
-    model, synth, train = _load_config_file(args.config)
-    if model is None:
-        anchors = [tuple(spec.mean_size) for spec in synth.classes]
-        model = D.default_model_config(anchors)
+    """The --config model and the --config TrainConfig under --seed/--epochs/--lr."""
+    model, _, train = _load_config_file(args.config)
     return model, _override(train, args, {"seed": "seed", "epochs": "epochs", "lr": "peak_lr"})
 
 
@@ -205,55 +198,47 @@ def _write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
-class ManifestWriter:
-    """Collects run metadata and writes it atomically on success or
-    handled failure."""
-
-    def __init__(self, subcommand: str, seed: int, resolved_config: dict, path: Path):
-        self.path = Path(path)
-        self.record = {
-            "subcommand": subcommand,
-            "seed": seed,
-            "config": resolved_config,
-            "git": _git_describe(),
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
-            "outputs": [],
-            "status": "running",
-        }
-        self._start = time.perf_counter()
-
-    def write(self, path, write) -> None:
-        """Write path atomically through write(tmp), then list it as an output."""
-        _atomic_write(path, write)
-        self.record["outputs"].append(str(path))
-
-    def finish(self, status: str, error: str | None = None) -> None:
-        self.record["status"] = status
-        if error:
-            self.record["error"] = error
-        self.record["wall_time_s"] = round(time.perf_counter() - self._start, 6)
-        _atomic_write(self.path, lambda tmp: _write_json(tmp, self.record))
-
-
-def _run_with_manifest(args, resolved, body, manifest_path=None):
-    """Run body(writer) under a manifest of args.subcommand and args.seed,
-    written to manifest_path (default <args.out>.manifest.json) on success
-    or failure; return what body returns."""
-    if manifest_path is None:
+@contextmanager
+def _manifest(args, resolved: dict, path=None):
+    """Run the block under a manifest of args.subcommand and args.seed. The
+    block writes each output through the yielded write(path, write_fn),
+    which writes path atomically and then lists it as an output. The
+    manifest goes to path (default <args.out>.manifest.json), atomically,
+    when the block ends and when it raises an Exception, which is re-raised."""
+    if path is None:
         out = Path(args.out)
-        manifest_path = out.with_name(out.name + ".manifest.json")
-    writer = ManifestWriter(args.subcommand, args.seed, resolved, manifest_path)
+        path = out.with_name(out.name + ".manifest.json")
+    record = {
+        "subcommand": args.subcommand,
+        "seed": args.seed,
+        "config": resolved,
+        "git": _git_describe(),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        "outputs": [],
+    }
+    start = time.perf_counter()
+
+    def write(out_path, write_fn) -> None:
+        _atomic_write(out_path, write_fn)
+        record["outputs"].append(str(out_path))
+
+    def finish(status: str, error: str = "") -> None:
+        record["status"] = status
+        if error:
+            record["error"] = error
+        record["wall_time_s"] = round(time.perf_counter() - start, 6)
+        _atomic_write(path, lambda tmp: _write_json(tmp, record))
+
     try:
-        result = body(writer)
+        yield write
     except Exception as err:
-        writer.finish("failed", error=str(err))
+        finish("failed", str(err))
         raise
-    writer.finish("ok")
-    return result
+    finish("ok")
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +249,13 @@ def cmd_gen(args) -> int:
     _, synth, _ = _load_config_file(args.config)
     out_dir = Path(args.out)
     resolved = {"synth": dataclasses.asdict(synth), "scenes": args.scenes}
-
-    def body(writer):
+    with _manifest(args, resolved, out_dir / "manifest.json") as write:
         for i in range(args.scenes):
             sid = f"scene_{i:04d}"
             scene = DT.generate_scene(synth, seed=G.derive_seed(args.seed, 50, i))
-            writer.write(out_dir / f"{sid}.bin", lambda tmp: DT.write_cloud(tmp, scene.cloud))
-            writer.write(out_dir / f"{sid}.json", lambda tmp: DT.write_labels(tmp, scene.objects))
+            write(out_dir / f"{sid}.bin", lambda tmp: DT.write_cloud(tmp, scene.cloud))
+            write(out_dir / f"{sid}.json", lambda tmp: DT.write_labels(tmp, scene.objects))
         log.info("wrote %d scenes to %s", args.scenes, out_dir)
-
-    _run_with_manifest(args, resolved, body, out_dir / "manifest.json")
     return 0
 
 
@@ -282,29 +264,26 @@ def cmd_train(args) -> int:
     scenes = _training_scenes(args.data, model)
     out_dir = Path(args.out)
     resolved = {"model": dataclasses.asdict(model), "train": dataclasses.asdict(train)}
-
-    def body(writer):
+    with _manifest(args, resolved, out_dir / "manifest.json") as write:
         try:
             result = H.train_toy(scenes, model, train)
         except H.TrainingAborted as err:
             dump = out_dir / "model.ckpt.failure.json"
-            writer.write(dump, lambda tmp: _write_json(tmp, {
+            write(dump, lambda tmp: _write_json(tmp, {
                 "reason": err.reason, "epoch": err.epoch,
                 "scene_id": err.scene_id, "last_rows": err.last_rows,
             }))
             log.error("training aborted; diagnostics in %s", dump)
             raise
         meta = {"model_config": resolved["model"], "train_config": resolved["train"]}
-        writer.write(out_dir / "model.ckpt", lambda tmp: T.save_checkpoint(tmp, result.params.named(), meta=meta))
-        writer.write(out_dir / "loss.csv", lambda tmp: H.write_history_csv(tmp, result.history))
+        write(out_dir / "model.ckpt", lambda tmp: T.save_checkpoint(tmp, result.params.named(), meta=meta))
+        write(out_dir / "loss.csv", lambda tmp: H.write_history_csv(tmp, result.history))
         ratio = result.final_loss / max(result.first_epoch_loss, 1e-12)
         print(
             f"trained {train.epochs} epochs on {len(scenes)} scenes: "
             f"loss {result.first_epoch_loss:.4f} -> {result.final_loss:.4f} "
             f"(x{ratio:.3f})"
         )
-
-    _run_with_manifest(args, resolved, body, out_dir / "manifest.json")
     return 0
 
 
@@ -339,15 +318,11 @@ def cmd_detect(args) -> int:
     config = _override(config, args, {"score_threshold": "score_threshold"})
     cloud = DT.read_cloud(args.input)
     out_path = Path(args.out)
-    resolved = {"model": dataclasses.asdict(config)}
-
-    def body(writer):
+    with _manifest(args, {"model": dataclasses.asdict(config)}) as write:
         dets = D.detect(cloud, config, params, args.seed)
         scene_id = Path(args.input).stem
-        writer.write(out_path, lambda tmp: DT.write_detections(tmp, scene_id, dets))
+        write(out_path, lambda tmp: DT.write_detections(tmp, scene_id, dets))
         print(f"{len(dets)} detections -> {out_path}")
-
-    _run_with_manifest(args, resolved, body)
     return 0
 
 
@@ -357,9 +332,7 @@ def cmd_probe(args) -> int:
     if args.scenes is not None:
         scenes = scenes[: args.scenes]
     out_path = Path(args.out)
-    resolved = {"model": dataclasses.asdict(config), "scenes": len(scenes)}
-
-    def body(writer):
+    with _manifest(args, {"model": dataclasses.asdict(config), "scenes": len(scenes)}) as write:
         rows = []
         for idx, (scene, sid) in enumerate(scenes):
             report = H.receptive_field_probe(
@@ -386,36 +359,29 @@ def cmd_probe(args) -> int:
             "scene_id", "cluster", "radius_shift", "radius_plain", "pairing",
             "qualifying", "expanded", "composed_reach", "plain_violations",
         ]
-        writer.write(out_path, lambda tmp: H.write_csv(tmp, header, rows))
+        write(out_path, lambda tmp: H.write_csv(tmp, header, rows))
         print(f"probed {len(scenes)} scenes -> {out_path}")
-
-    _run_with_manifest(args, resolved, body)
     return 0
 
 
 def cmd_bench(args) -> int:
-    model, _, _ = _load_config_file(args.config)
+    cs_cfg, _, _ = _load_config_file(args.config)
     scenes = DT.dataset(args.data)
     clouds = [scene.cloud for scene, _ in scenes]
-    cs_cfg = model or D.default_model_config()
     none_cfg = D.with_stage_fields(cs_cfg, exchange_op="none")
     out_path = Path(args.out)
-    resolved = {"model": dataclasses.asdict(cs_cfg), "repetitions": args.reps}
-
-    def body(writer):
+    with _manifest(args, {"model": dataclasses.asdict(cs_cfg), "repetitions": args.reps}) as write:
         variants = [
             ("cs", cs_cfg, D.init_model_params(cs_cfg, seed=args.seed)),
             ("none", none_cfg, D.init_model_params(none_cfg, seed=args.seed)),
         ]
         report = H.latency_bench(variants, clouds, repetitions=args.reps, seed=args.seed)
-        writer.write(out_path, lambda tmp: H.write_bench_csv(tmp, report))
+        write(out_path, lambda tmp: H.write_bench_csv(tmp, report))
         for row in report.rows:
             print(
                 f"{row.name}: median {row.median_ms:.2f} ms, "
                 f"mean {row.mean_ms:.2f} ms, {row.param_count} params"
             )
-
-    _run_with_manifest(args, resolved, body)
     return 0
 
 
@@ -429,28 +395,22 @@ def cmd_ablate(args) -> int:
         "train": dataclasses.asdict(train),
         "axes": axes or list(H.ABLATION_AXES),
     }
-
-    def body(writer):
+    with _manifest(args, resolved) as write:
         report = H.run_ablation(scenes, base, train, axes=axes)
-        writer.write(out_path, lambda tmp: H.write_ablation_csv(tmp, report))
+        write(out_path, lambda tmp: H.write_ablation_csv(tmp, report))
         for cell in report.cells:
             metric = f"recall {cell.recall:.3f} loss {cell.mean_loss:.4f}" if cell.status == "ok" else cell.detail
             print(f"{cell.axis}={cell.value}: {cell.status} {metric}")
-
-    _run_with_manifest(args, resolved, body)
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    def body(writer):
+    with _manifest(args, {}, args.manifest or "gradcheck.manifest.json"):
         errors = H.gradcheck_suite(args.seed)
         for name, err in errors.items():
             print(f"{name}: {err:.3e}")
         worst = max(errors.values())
         print(f"worst relative error: {worst:.3e} (tolerance {H.GRADCHECK_TOL:.1e})")
-        return worst
-
-    worst = _run_with_manifest(args, {}, body, Path(args.manifest or "gradcheck.manifest.json"))
     if worst >= H.GRADCHECK_TOL:
         print("gradcheck FAILED", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import logging
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -224,8 +224,8 @@ def write_csv(path, header: list[str], rows) -> None:
 
 
 def write_history_csv(path, history: list[dict]) -> None:
-    fields = ["epoch", "offset", "cls", "loc", "size", "angle", "corner", "total", "lr"]
-    write_csv(path, fields, [[row[k] for k in fields] for row in history])
+    header = ["epoch", *(f.name for f in fields(L.LossBreakdown)), "lr"]
+    write_csv(path, header, [[row[k] for k in header] for row in history])
 
 
 # ---------------------------------------------------------------------------

@@ -652,7 +652,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
 
 
 def load_into(named_tensors: Sequence[tuple[str, Tensor]], arrays: dict[str, np.ndarray]) -> None:
-    """Copy each array into the tensor of its name: both must hold the same names and shapes."""
+    """Copy each array into the tensor of its name: same names and shapes, finite values only."""
     names = dict(named_tensors)
     extra = next((name for name in arrays if name not in names), None)
     if extra is not None:
@@ -663,4 +663,6 @@ def load_into(named_tensors: Sequence[tuple[str, Tensor]], arrays: dict[str, np.
         arr = arrays[name]
         if arr.shape != t.shape:
             raise ValueError(f"checkpoint tensor {name} has shape {arr.shape}, expected {t.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"checkpoint tensor {name} holds non-finite values")
         t.values[...] = arr

@@ -322,6 +322,16 @@ class TestUsage:
         assert flag in err and "--seed" not in err and "Traceback" not in err
         assert not fresh.exists()  # neither an output nor a manifest
 
+    def test_two_rejected_flags_name_the_first(self, tmp_path, trained_model, capsys):
+        # flags apply one at a time (--seed, --epochs, --lr), so the first rejected one is named alone
+        data_dir, _ = trained_model
+        fresh = tmp_path / "fresh"
+        capsys.readouterr()
+        assert run(["train", "--data", data_dir, "--out", fresh, "--seed", 1, "--epochs", 0, "--lr", "nan"]) == 1
+        err = capsys.readouterr().err
+        assert "usage error: --epochs: epochs must be >= 1" in err and "--lr" not in err
+        assert not fresh.exists()  # neither an output nor a manifest
+
     @pytest.mark.parametrize("config", ["small", "missing"])
     @pytest.mark.parametrize(
         "argv",
@@ -520,6 +530,20 @@ class TestTrainDetect:
         assert f"{bad}: checkpoint tensor bogus.weight is not in the model" in capsys.readouterr().err
         assert not list(tmp_path.glob("dets*"))  # neither --out nor its manifest
 
+    @pytest.mark.parametrize("subcommand", ["detect", "probe"])
+    def test_checkpoint_with_non_finite_weight_exits_2_naming_it(self, tmp_path, trained_model, capsys, subcommand):
+        data_dir, ckpt = trained_model
+        header, blob = ckpt.read_bytes().split(b"\n", 1)
+        name = json.loads(header)["tensors"][0]["name"]
+        bad = tmp_path / "nan.ckpt"
+        bad.write_bytes(header + b"\n" + np.array([np.nan], dtype="<f8").tobytes() + blob[8:])
+        source = ["--in", data_dir / "scene_0000.bin"] if subcommand == "detect" else ["--data", data_dir]
+        fresh = tmp_path / "fresh"
+        capsys.readouterr()
+        assert run([subcommand, "--model", bad, *source, "--out", fresh / "out", "--seed", 5]) == 2
+        assert f"{bad}: checkpoint tensor {name} holds non-finite values" in capsys.readouterr().err
+        assert not fresh.exists()  # neither --out nor its manifest
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_divergence_writes_failure_dump(self, tmp_path, trained_model, small_config_file, capsys):
         data_dir, _ = trained_model
@@ -598,6 +622,25 @@ class TestProbeBenchAblate:
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3  # header + cs + none
+
+    def test_bench_default_model_takes_config_classes(self, tmp_path):
+        # a config with no model section: train and bench both anchor the default model at the synth classes
+        classes = [
+            {"name": "crate", "mean_size": [2.0, 1.2, 1.0], "size_jitter": [0.2, 0.1, 0.1]},
+            {"name": "post", "mean_size": [0.6, 0.6, 1.6], "size_jitter": [0.05, 0.05, 0.1]},
+            {"name": "cube", "mean_size": [1.0, 1.0, 1.0], "size_jitter": [0.1, 0.1, 0.1]},
+        ]
+        config = tmp_path / "three.json"
+        config.write_text(json.dumps({"synth": {"classes": classes}}))
+        data_dir, run_dir, out = tmp_path / "data", tmp_path / "run", tmp_path / "bench.csv"
+        assert run(["gen", "--scenes", 1, "--out", data_dir, "--seed", 1, "--config", config]) == 0
+        assert run(["train", "--data", data_dir, "--out", run_dir, "--seed", 1, "--config", config, "--epochs", 1]) == 0
+        assert run(["bench", "--data", data_dir, "--out", out, "--seed", 1, "--config", config, "--reps", 10]) == 0
+        model, params = cli._load_model(run_dir / "model.ckpt")
+        assert model.num_classes == 3
+        with open(out, newline="") as fh:
+            rows = {row["variant"]: row for row in csv.DictReader(fh)}
+        assert int(rows["cs"]["param_count"]) == D.count_parameters(params)
 
     def test_ablate_axis_rows(self, tmp_path, trained_model, small_config_file):
         data_dir, _ = trained_model
@@ -685,6 +728,56 @@ class TestAtomicWrite:
         assert run(argv) == 2
         after = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
         assert after == before
+
+
+class TestRunManifest:
+    @pytest.mark.parametrize("subcommand", ["detect", "probe", "bench"])
+    def test_runtime_failure_writes_failed_manifest(self, tmp_path, trained_model, small_config_file, capsys, subcommand):
+        # the small config's stage 0 takes 24 points, so a 10-point scene fails inside the run
+        data_dir, ckpt = trained_model
+        cloud = data_dir / "scene_0000.bin"
+        cloud.write_bytes(cloud.read_bytes()[: 10 * 16])
+        argv = {
+            "detect": ["detect", "--model", ckpt, "--in", cloud],
+            "probe": ["probe", "--model", ckpt, "--data", data_dir],
+            "bench": ["bench", "--config", small_config_file, "--data", data_dir],
+        }[subcommand]
+        out = tmp_path / "fresh" / "out"
+        capsys.readouterr()
+        assert run([*argv, "--out", out, "--seed", 3]) == 2
+        cause = "insufficient points: cloud has 10, first stage needs 24"
+        assert cause in capsys.readouterr().err
+        manifest = json.loads(out.with_name("out.manifest.json").read_text())
+        assert (manifest["subcommand"], manifest["status"], manifest["error"]) == (subcommand, "failed", cause)
+        assert manifest["outputs"] == []
+        assert [p.name for p in out.parent.iterdir()] == ["out.manifest.json"]
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("message", ["disk full", ""])
+    def test_failed_write_is_not_listed(self, tmp_path, small_config_file, monkeypatch, message):
+        def write_labels(tmp, objects):
+            Path(tmp).write_text("half a ")
+            raise OSError(message)
+
+        monkeypatch.setattr(DT, "write_labels", write_labels)
+        out = tmp_path / "scenes"
+        assert run(["gen", "--scenes", 2, "--out", out, "--seed", 7, "--config", small_config_file]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest.get("error") == (message or None)  # an empty message records no error
+        assert manifest["outputs"] == [str(out / "scene_0000.bin")]
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "scene_0000.bin"]
+
+    def test_interrupt_writes_no_manifest(self, tmp_path, small_config_file, monkeypatch):
+        # only an Exception is a failed run; an interrupt propagates and records nothing
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(DT, "generate_scene", interrupt)
+        out = tmp_path / "scenes"
+        with pytest.raises(KeyboardInterrupt):
+            run(["gen", "--scenes", 1, "--out", out, "--seed", 7, "--config", small_config_file])
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

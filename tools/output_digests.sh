@@ -5,10 +5,11 @@
 # with <tree>/src on PYTHONPATH, once at OPENBLAS_NUM_THREADS=1 and once at 2,
 # writing everything under <workdir>/threads_1 and <workdir>/threads_2
 # (<workdir> is emptied first). It prints "sha256  path" for every output of
-# the first run except run manifests. gradcheck writes only a manifest, so its
-# stdout is digested instead. Two trees that compute the same results print
-# the same lines. If the two thread counts give different bytes, it prints the
-# lines that differ and exits 1.
+# the first run, gradcheck's stdout included, and then for every run manifest,
+# whose digest covers only its deterministic fields (subcommand, seed, config,
+# outputs, status, error), not the git revision, wall time or machine facts.
+# Two trees that compute the same results print the same lines. If the two
+# thread counts give different lines, it prints those that differ and exits 1.
 set -eu
 [ $# -eq 2 ] || { echo "usage: $0 <tree> <workdir>" >&2; exit 1; }
 tree=$(cd "$1" && pwd)
@@ -60,6 +61,14 @@ run_set() {
       shiftssd gradcheck --seed 1 --manifest gradcheck.manifest.json > gradcheck.stdout
     } > /dev/null
     find . -type f ! -name '*manifest.json' ! -name small.json | LC_ALL=C sort | xargs sha256sum
+    find . -type f -name '*manifest.json' | LC_ALL=C sort | xargs python3 -c '
+import hashlib, json, sys
+for path in sys.argv[1:]:
+    with open(path) as fh:
+        record = json.load(fh)
+    kept = {k: record[k] for k in ("subcommand", "seed", "config", "outputs", "status", "error") if k in record}
+    print(hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest() + "  " + path)
+'
   ) > "$work/threads_$1.sha256"
 }
 
