@@ -173,7 +173,7 @@ class ModelParams:
             ("head.cls", self.cls_head),
             ("head.reg", self.reg_head),
         ):
-            out.extend(S._named_mlp(prefix, mlp))
+            out.extend(mlp.named(prefix))
         return out
 
     def tensors(self) -> list[T.Tensor]:
@@ -388,6 +388,17 @@ def encode_box(box: Box3D, candidate: np.ndarray, anchor: np.ndarray) -> tuple[n
     return box.center - np.asarray(candidate, dtype=np.float64), np.log(box.size / anchor)
 
 
+def decode_rows(candidates, center_res, size_res, bin_ids, bin_res, anchors, bins: int):
+    """The one box decoder, in the graph: P boxes' center, size and unwrapped yaw Tensors (P×3, P×3, P×1)
+    from their candidates, center and log-size residuals, anchors, angle bins and those bins' residuals."""
+    bin_centers = np.array([[bin_center(b, bins)] for b in bin_ids], dtype=np.float64)
+    return (
+        T.add(candidates, center_res),
+        T.mul(T.Tensor(anchors), T.exp(size_res)),
+        T.add(T.Tensor(bin_centers), T.scale(bin_res, np.pi / bins)),
+    )
+
+
 def decode_box(
     center_res: np.ndarray,
     size_res: np.ndarray,
@@ -397,34 +408,26 @@ def decode_box(
     anchor: np.ndarray,
     bins: int,
 ) -> Box3D:
-    return Box3D(
-        center=np.asarray(candidate, dtype=np.float64) + np.asarray(center_res, dtype=np.float64),
-        size=np.asarray(anchor, dtype=np.float64) * np.exp(np.asarray(size_res, dtype=np.float64)),
-        yaw=bin_center(bin_id, bins) + bin_res * (np.pi / bins),
+    center, size, yaw = decode_rows(
+        T.Tensor(candidate), T.Tensor(center_res), T.Tensor(size_res), [bin_id], T.Tensor(bin_res), anchor, bins
     )
+    return Box3D(center=center.values, size=size.values, yaw=yaw.item())
 
 
+@T.no_grad()
 def decode_boxes(
     raw: RawPrediction, candidates: np.ndarray, class_ids: np.ndarray, config: ModelConfig, rows: np.ndarray
 ) -> list[Box3D]:
-    """Decode the boxes of candidates `rows`, each with its class anchor and argmax angle bin."""
-    boxes = []
-    bin_ids = raw.bin_logits.values.argmax(axis=1)
-    for i in rows:
-        anchor = np.array(config.anchors[int(class_ids[i]) - 1])
-        b = int(bin_ids[i])
-        boxes.append(
-            decode_box(
-                raw.center.values[i],
-                raw.size.values[i],
-                b,
-                float(raw.bin_res.values[i, b]),
-                candidates[i],
-                anchor,
-                config.angle_bins,
-            )
-        )
-    return boxes
+    """Decode the boxes of candidates `rows` at once, each with its class anchor and argmax angle bin."""
+    if len(rows) == 0:
+        return []
+    bin_ids = raw.bin_logits.values[rows].argmax(axis=1)
+    anchors = np.array([config.anchors[c - 1] for c in class_ids[rows]], dtype=np.float64)
+    center, size, yaw = decode_rows(
+        T.Tensor(candidates[rows]), T.Tensor(raw.center.values[rows]), T.Tensor(raw.size.values[rows]),
+        bin_ids, T.Tensor(raw.bin_res.values[rows, bin_ids][:, None]), anchors, config.angle_bins,
+    )
+    return [Box3D(center=c, size=s, yaw=y) for c, s, y in zip(center.values, size.values, yaw.values[:, 0])]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .detector import CORNER_SIGNS, FLIPPED_CORNERS, box_corners
-from .detector import Box3D, ForwardOutput, ModelConfig, RawPrediction, bin_center, encode_angle
+from .detector import Box3D, ForwardOutput, ModelConfig, RawPrediction, decode_rows, encode_angle
 
 ASSIGN_MARGIN = 0.9  # meters added to each box dimension when training assigns targets
 
@@ -193,25 +193,18 @@ def box_loss(
     gt_bins = np.array([e[0] for e in encoded], dtype=np.int64)
     gt_res = np.array([[e[1]] for e in encoded], dtype=np.float64)
 
-    cand_pos = T.gather_rows(candidates, pos)
-    pred_center = T.add(cand_pos, T.gather_rows(raw.center, pos))
-    loc = smooth_l1(T.sub(pred_center, T.Tensor(gt_centers)))
-
     size_res = T.gather_rows(raw.size, pos)
-    size = smooth_l1(T.sub(size_res, T.Tensor(np.log(gt_sizes / anchors))))
-
     bin_logits = T.gather_rows(raw.bin_logits, pos)
     bin_res = T.gather_rows(raw.bin_res, pos)
+    pred_bins = bin_logits.values.argmax(axis=1)
+    pred_center, pred_size, pred_yaw = decode_rows(
+        T.gather_rows(candidates, pos), T.gather_rows(raw.center, pos), size_res,
+        pred_bins, _select_bin_column(bin_res, pred_bins), anchors, bins,
+    )
+    loc = smooth_l1(T.sub(pred_center, T.Tensor(gt_centers)))
+    size = smooth_l1(T.sub(size_res, T.Tensor(np.log(gt_sizes / anchors))))
     res_sel = _select_bin_column(bin_res, gt_bins)
     angle = T.add(cls_loss(bin_logits, gt_bins), smooth_l1(T.sub(res_sel, T.Tensor(gt_res))))
-
-    pred_size = T.mul(T.Tensor(anchors), T.exp(size_res))
-    pred_bins = bin_logits.values.argmax(axis=1)
-    pred_res = _select_bin_column(bin_res, pred_bins)
-    centers_for_bins = np.array(
-        [[bin_center(b, bins)] for b in pred_bins], dtype=np.float64
-    )
-    pred_yaw = T.add(T.Tensor(centers_for_bins), T.scale(pred_res, np.pi / bins))
     pred_corners = corners_in_graph(pred_center, pred_size, pred_yaw)
 
     gt = box_corners(gt_centers, gt_sizes, [b.yaw for b in gt_boxes])

@@ -117,13 +117,12 @@ class SsaParams:
     def named(self, prefix: str) -> list[tuple[str, T.Tensor]]:
         out = []
         for s, mlp in enumerate(self.f_mlps):
-            out.extend(_named_mlp(f"{prefix}.scale{s}.f", mlp))
+            out.extend(mlp.named(f"{prefix}.scale{s}.f"))
         for s, ex in enumerate(self.exchange):
-            if isinstance(ex, T.MlpParams):
-                out.extend(_named_mlp(f"{prefix}.scale{s}.shift", ex))
-            elif isinstance(ex, AttnParams):
-                out.extend(ex.named(f"{prefix}.scale{s}.attn"))
-        out.extend(_named_mlp(f"{prefix}.aggregate", self.aggregate))
+            tag = "attn" if isinstance(ex, AttnParams) else "shift"
+            if ex is not None:
+                out.extend(ex.named(f"{prefix}.scale{s}.{tag}"))
+        out.extend(self.aggregate.named(f"{prefix}.aggregate"))
         return out
 
     def tensors(self) -> list[T.Tensor]:
@@ -139,19 +138,7 @@ class AttnParams:
     v: T.LinearParams
 
     def named(self, prefix: str) -> list[tuple[str, T.Tensor]]:
-        out = []
-        for tag, lin in (("q", self.q), ("k", self.k), ("v", self.v)):
-            out.append((f"{prefix}.{tag}.weight", lin.weight))
-            out.append((f"{prefix}.{tag}.bias", lin.bias))
-        return out
-
-
-def _named_mlp(prefix: str, mlp: T.MlpParams) -> list[tuple[str, T.Tensor]]:
-    out = []
-    for i, layer in enumerate(mlp.layers):
-        out.append((f"{prefix}.{i}.weight", layer.weight))
-        out.append((f"{prefix}.{i}.bias", layer.bias))
-    return out
+        return [*self.q.named(f"{prefix}.q"), *self.k.named(f"{prefix}.k"), *self.v.named(f"{prefix}.v")]
 
 
 def init_ssa_params(config: SsaConfig, in_channels: int, rng: np.random.Generator) -> SsaParams:

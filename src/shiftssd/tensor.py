@@ -472,6 +472,10 @@ class LinearParams:
     def out_width(self) -> int:
         return self.weight.shape[0]
 
+    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
+        """The checkpoint names of the two tensors: `prefix.weight`, `prefix.bias`."""
+        return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
+
     def tensors(self) -> list[Tensor]:
         return [self.weight, self.bias]
 
@@ -490,13 +494,9 @@ class MlpParams:
                     f"mlp widths do not chain: {prev.out_width} -> {nxt.in_width}"
                 )
 
-    @property
-    def in_width(self) -> int:
-        return self.layers[0].in_width
-
-    @property
-    def out_width(self) -> int:
-        return self.layers[-1].out_width
+    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
+        """Layer i's tensors named as a LinearParams under `prefix.i`."""
+        return [named for i, layer in enumerate(self.layers) for named in layer.named(f"{prefix}.{i}")]
 
     def tensors(self) -> list[Tensor]:
         return [t for layer in self.layers for t in layer.tensors()]
@@ -552,30 +552,34 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1
     f must be a deterministic closure over `params` returning a 1x1
     tensor. Returns the worst relative error over every parameter
     coordinate, with the denominator floored at 1 so near-zero gradients
-    compare absolutely.
+    compare absolutely, or inf as soon as an analytic gradient or a
+    relative error is not finite. Each coordinate is perturbed in place,
+    in C order, whatever the memory layout of the parameter's array.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     params = list(params)
     zero_grads(params)
     out = f()
     out.backward()
     analytic = [p.grad.copy() for p in params]
+    if not all(np.isfinite(ana).all() for ana in analytic):
+        return np.inf
 
     worst = 0.0
     with no_grad():
         for p, ana in zip(params, analytic):
-            flat = p.values.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
+            for idx in np.ndindex(p.shape):
+                orig = p.values[idx]
+                p.values[idx] = orig + eps
                 f_hi = f().item()
-                flat[i] = orig - eps
+                p.values[idx] = orig - eps
                 f_lo = f().item()
-                flat[i] = orig
+                p.values[idx] = orig
                 numeric = (f_hi - f_lo) / (2.0 * eps)
-                a = ana.reshape(-1)[i]
-                rel = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
+                rel = abs(ana[idx] - numeric) / max(abs(ana[idx]), abs(numeric), 1.0)
+                if not np.isfinite(rel):
+                    return np.inf
                 worst = max(worst, rel)
     return worst
 

@@ -328,11 +328,77 @@ class TestBoxCodec:
             np.testing.assert_allclose(back.size, box.size, rtol=1e-9)
             assert abs(D.normalize_yaw(back.yaw - box.yaw)) < 1e-9
 
+    def test_decoders_match_the_plain_float_formula_bytewise(self):
+        # every bin is some decoded row's argmax, three classes, and one chosen residual is zero
+        rng = np.random.default_rng(30)
+        bins, m = 5, 12
+        anchors = [(2.0, 1.0, 1.0), (0.8, 0.8, 1.6), (4.1, 1.7, 1.5)]
+        config = dataclasses.replace(tiny_config(), num_classes=3, anchors=anchors, angle_bins=bins)
+        bin_ids = np.arange(m) % bins
+        bin_logits = rng.normal(size=(m, bins))
+        bin_logits[np.arange(m), bin_ids] += 10.0
+        bin_res = rng.uniform(-1.0, 1.0, size=(m, bins))
+        bin_res[3, bin_ids[3]] = 0.0
+        raw = D.RawPrediction(
+            cls_logits=T.Tensor(np.zeros((m, 4))), center=T.Tensor(rng.normal(size=(m, 3))),
+            size=T.Tensor(rng.normal(scale=0.5, size=(m, 3))), bin_logits=T.Tensor(bin_logits),
+            bin_res=T.Tensor(bin_res),
+        )
+        candidates = rng.uniform(-20.0, 20.0, size=(m, 3))
+        class_ids = np.arange(m) % 3 + 1
+        rows = rng.permutation(m - 1)
+
+        boxes = D.decode_boxes(raw, candidates, class_ids, config, rows)
+        assert len(boxes) == len(rows)
+        for i, box in zip(rows, boxes):
+            b, anchor = int(bin_ids[i]), anchors[class_ids[i] - 1]
+            args = (raw.center.values[i], raw.size.values[i], b, float(bin_res[i, b]), candidates[i], anchor, bins)
+            # the decoder as plain float arithmetic, one box at a time
+            center = candidates[i] + raw.center.values[i]
+            size = np.array(anchor) * np.exp(raw.size.values[i])
+            yaw = D.normalize_yaw(D.bin_center(b, bins) + float(bin_res[i, b]) * (np.pi / bins))
+            for got in (box, D.decode_box(*args)):
+                assert got.center.tobytes() == center.tobytes()
+                assert got.size.tobytes() == size.tobytes()
+                assert np.float64(got.yaw).tobytes() == np.float64(yaw).tobytes()
+        assert D.decode_boxes(raw, candidates, class_ids, config, np.array([], dtype=np.int64)) == []
+
     def test_angle_residual_bounded(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
             _, res = D.encode_angle(rng.uniform(-np.pi, np.pi), 12)
             assert abs(res) <= 1.0 + 1e-12
+
+
+class TestParameterNames:
+    EXCHANGE_NAMES = {
+        "none": [],
+        "attn": ["attn.q.weight", "attn.q.bias", "attn.k.weight", "attn.k.bias", "attn.v.weight", "attn.v.bias"],
+        **{op: ["shift.0.weight", "shift.0.bias", "shift.1.weight", "shift.1.bias"] for op in ("concat", "avg", "cs")},
+    }
+
+    @pytest.mark.parametrize("op", S.EXCHANGE_OPS)
+    def test_checkpoint_names_of_a_two_stage_model(self, op):
+        # the 96-point two-stage layout: one-layer scale and aggregation MLPs, two-layer vote and heads
+        config = tiny_config(exchange=op, stages=((24, (1.0, 2.0)), (8, (2.0, 4.0))))
+        named = D.init_model_params(config, seed=0).named()
+        expected = []
+        for t in (0, 1):
+            expected += [
+                f"backbone.{t}.scale0.f.0.weight", f"backbone.{t}.scale0.f.0.bias",
+                f"backbone.{t}.scale1.f.0.weight", f"backbone.{t}.scale1.f.0.bias",
+            ]
+            expected += [f"backbone.{t}.scale{s}.{name}" for s in (0, 1) for name in self.EXCHANGE_NAMES[op]]
+            expected += [f"backbone.{t}.aggregate.0.weight", f"backbone.{t}.aggregate.0.bias"]
+        expected += [
+            "vote.0.weight", "vote.0.bias", "vote.1.weight", "vote.1.bias",
+            "agg.f.0.weight", "agg.f.0.bias", "agg.a.0.weight", "agg.a.0.bias",
+            "head.cls.0.weight", "head.cls.0.bias", "head.cls.1.weight", "head.cls.1.bias",
+            "head.reg.0.weight", "head.reg.0.bias", "head.reg.1.weight", "head.reg.1.bias",
+        ]
+        assert [name for name, _ in named] == expected
+        # a bias is the one-row tensor of its layer (every width here is above 1)
+        assert all((t.shape[0] == 1) == name.endswith(".bias") for name, t in named)
 
 
 class TestRotatedIoU:

@@ -506,6 +506,31 @@ class TestGradCheck:
         with pytest.raises(ValueError):
             T.grad_check(lambda: T.Tensor([[0.0]]), [], eps=0.0)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_rejects_non_finite_eps_by_name(self, eps):
+        x = T.Tensor([[1.0, 2.0]])
+        with pytest.raises(ValueError, match="eps must be finite"):
+            T.grad_check(lambda: T.sum_all(x), [x], eps=eps)
+
+    @staticmethod
+    def passes_with_gradient(x, grad):
+        """x unchanged; its backward hands x `grad` in every entry, whatever comes from above."""
+        return T.Tensor(x.values, parents=(x,), backprop=lambda g: x.add_grad(np.full(x.shape, grad)))
+
+    @pytest.mark.parametrize("grad", [np.inf, np.nan])
+    def test_non_finite_analytic_gradient_fails(self, grad):
+        x = T.Tensor([[1.0, 2.0]])
+        assert T.grad_check(lambda: T.sum_all(self.passes_with_gradient(x, grad)), [x]) == np.inf
+
+    def test_non_contiguous_parameter_is_perturbed_in_place(self):
+        x = T.Tensor(np.arange(6.0).reshape(2, 3).T)
+        assert not x.values.flags.c_contiguous
+        before = x.values.tobytes()
+        assert T.grad_check(lambda: T.sum_all(T.mul(x, x)), [x]) < 1e-8
+        # an all-zero analytic gradient against d(sum x)/dx = 1
+        assert T.grad_check(lambda: T.sum_all(self.passes_with_gradient(x, 0.0)), [x]) == pytest.approx(1.0)
+        assert x.values.tobytes() == before and not x.values.flags.c_contiguous
+
 
 class TestDeterminismAndFiniteness:
     def test_forward_bit_identical_across_runs(self):

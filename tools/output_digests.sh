@@ -2,7 +2,9 @@
 # Usage: tools/output_digests.sh <tree> <workdir>
 #
 # Runs a fixed-seed set of gen/train/detect/probe/ablate/gradcheck commands
-# with <tree>/src on PYTHONPATH, once at OPENBLAS_NUM_THREADS=1 and once at 2,
+# (the small config is trained once per checkpoint layout: the cs, attn and
+# none exchange ops) with <tree>/src on PYTHONPATH, once at
+# OPENBLAS_NUM_THREADS=1 and once at 2,
 # writing everything under <workdir>/threads_1 and <workdir>/threads_2
 # (<workdir> is emptied first). It prints "sha256  path" for every output of
 # the first run, gradcheck's stdout included, and then for every run manifest,
@@ -36,12 +38,15 @@ cat > "$work/small.json" <<'JSON'
  "train": {"epochs": 3, "peak_lr": 0.005}
 }
 JSON
+for op in attn none; do
+  sed "s/\"exchange_op\": \"cs\"/\"exchange_op\": \"$op\"/" "$work/small.json" > "$work/small_$op.json"
+done
 
 # run_set <threads>: run every command in <workdir>/threads_<threads> and
 # write its digest list to <workdir>/threads_<threads>.sha256
 run_set() {
   mkdir "$work/threads_$1"
-  cp "$work/small.json" "$work/threads_$1/"
+  cp "$work"/small*.json "$work/threads_$1/"
   (
     cd "$work/threads_$1"
     export OPENBLAS_NUM_THREADS="$1"
@@ -51,6 +56,8 @@ run_set() {
       shiftssd train --seed 11 --config small.json --data small --out run_small
       shiftssd train --seed 7 --epochs 2 --data default --out run_default
       shiftssd train --seed 11 --config small.json --data small --out run_diverged --lr 1e30 2>/dev/null || true
+      shiftssd train --seed 11 --config small_attn.json --data small --out run_attn
+      shiftssd train --seed 11 --config small_none.json --data small --out run_none
       shiftssd detect --seed 3 --model run_small/model.ckpt --in small/scene_0000.bin \
         --out dets_small.jsonl --score-threshold 0.0
       shiftssd detect --seed 3 --model run_default/model.ckpt --in default/scene_0001.bin \
@@ -60,7 +67,7 @@ run_set() {
       shiftssd ablate --seed 3 --epochs 1 --axis exchange --data default --out ablate_default.csv
       shiftssd gradcheck --seed 1 --manifest gradcheck.manifest.json > gradcheck.stdout
     } > /dev/null
-    find . -type f ! -name '*manifest.json' ! -name small.json | LC_ALL=C sort | xargs sha256sum
+    find . -type f ! -name '*manifest.json' ! -name 'small*.json' | LC_ALL=C sort | xargs sha256sum
     find . -type f -name '*manifest.json' | LC_ALL=C sort | xargs python3 -c '
 import hashlib, json, sys
 for path in sys.argv[1:]:
